@@ -1,6 +1,6 @@
 """Benchmark: the plane-packed batch kernel vs the per-pair scalar kernel.
 
-Three gates, one parity sweep:
+Two gates, one parity sweep:
 
 1. **Single-core batch throughput** — emitting the dense nc/cf edge-block
    bitsets of every pairwise block of Auction(N) (N=24 by default) via one
@@ -12,13 +12,7 @@ Three gates, one parity sweep:
    timed region — it happens once per store lifetime and is recorded
    separately as ``packing_seconds``.  The frozenset reference path is
    timed too, for scale.
-2. **Process backend** — rebuilding every edge block with
-   ``backend="process"`` (zero-copy shared-memory planes fanned out over
-   ``--workers`` workers, warm pool) must beat the serial rebuild by
-   ``--process-threshold`` (default 1.3×).  The gate needs real cores: on
-   hosts with <= 2 CPUs (or with ``--parity-only``) the numbers are still
-   reported and recorded, but the speed gate is skipped, not failed.
-3. **Subset enumeration** — ``robust_subsets`` with the
+2. **Subset enumeration** — ``robust_subsets`` with the
    :class:`~repro.detection.subsets.PairMatrix` fast path must beat the
    plain block-store enumeration (PR 2's path, reproduced inline) by
    ``--subsets-threshold`` (default 1.2×) on SmallBank and Auction(5)
@@ -27,16 +21,15 @@ Three gates, one parity sweep:
 Parity is asserted throughout: store blocks (batch kernel) equal
 frozenset-reference blocks edge-for-edge on SmallBank, TPC-C and
 Auction(5) under all four Section 7.2 settings; the dense bitset planes
-carry exactly the edges the scalar kernel emits; process-backend graphs
-equal serial ones; and the matrix verdict grids equal the plain
-enumeration's.
+carry exactly the edges the scalar kernel emits; and the matrix verdict
+grids equal the plain enumeration's.
 
 Numbers are recorded to ``BENCH_kernel.json`` (see
 :func:`conftest.record_benchmark`), including ``cpu_count`` and
 ``packing_seconds`` as separate fields.
 
 Run with:  PYTHONPATH=src python benchmarks/bench_kernel.py [--scale N]
-           [--repetitions R] [--workers W] [--parity-only]
+           [--repetitions R] [--parity-only]
 """
 
 from __future__ import annotations
@@ -46,7 +39,7 @@ import os
 import sys
 import time
 
-from conftest import multicore_gated, record_benchmark
+from conftest import record_benchmark
 
 from repro.btp.unfold import unfold
 from repro.detection.subsets import (
@@ -146,47 +139,7 @@ def bench_single_core(scale: int, repetitions: int) -> dict:
     }
 
 
-# -- gate 2: process vs serial rebuild ---------------------------------------
-
-def bench_backends(scale: int, repetitions: int, workers: int) -> dict:
-    workload = auction_n(scale)
-    ltps = unfold(workload.programs, 2)
-    names = [ltp.name for ltp in ltps]
-
-    def store_for(backend: str, jobs: int | None) -> EdgeBlockStore:
-        store = EdgeBlockStore(
-            workload.schema, ATTR_DEP_FK, jobs=jobs, backend=backend
-        )
-        store.register(ltps)
-        store.ensure_blocks()  # warm: packs planes, spins up the pool
-        return store
-
-    def rebuild(store: EdgeBlockStore):
-        """Drop every block and arena row, then recompute them all."""
-        store.discard(names)
-        store.register(ltps)
-        store.ensure_blocks()
-
-    serial_store = store_for("thread", None)
-    process_store = store_for("process", workers)
-    serial_edges = serial_store.graph().edges
-    assert process_store.graph().edges == serial_edges, (
-        "process-backend parity violated"
-    )
-
-    serial_seconds = _best(lambda: rebuild(serial_store), repetitions)
-    process_seconds = _best(lambda: rebuild(process_store), repetitions)
-    process_store.clear()  # shut the persistent pool down
-    return {
-        "workload": f"Auction({scale})",
-        "workers": workers,
-        "serial_seconds": serial_seconds,
-        "process_seconds": process_seconds,
-        "process_vs_serial": serial_seconds / process_seconds,
-    }
-
-
-# -- gate 3: pair-matrix subset enumeration ---------------------------------
+# -- gate 2: pair-matrix subset enumeration ---------------------------------
 
 def _plain_robust_subsets(programs, schema, settings):
     """PR 2's enumeration: block store, no pair matrix."""
@@ -263,14 +216,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scale", type=int, default=24, help="Auction(n) scale")
     parser.add_argument("--repetitions", type=int, default=5)
-    parser.add_argument("--workers", type=int, default=4, help="pool size for gate 2")
     parser.add_argument("--kernel-threshold", type=float, default=10.0)
-    parser.add_argument("--process-threshold", type=float, default=1.3)
     parser.add_argument("--subsets-threshold", type=float, default=1.2)
     parser.add_argument(
         "--parity-only",
         action="store_true",
-        help="assert parity (kernel, process backend, matrix) but gate no speedups",
+        help="assert parity (kernel, matrix) but gate no speedups",
     )
     args = parser.parse_args(argv)
 
@@ -297,26 +248,6 @@ def main(argv=None) -> int:
             f"< {args.kernel_threshold:.1f}x over the scalar kernel"
         )
 
-    backends = bench_backends(args.scale, args.repetitions, args.workers)
-    print(
-        f"backends     {backends['workload']}: serial rebuild "
-        f"{backends['serial_seconds'] * 1e3:8.1f} ms  "
-        f"process({args.workers}) {backends['process_seconds'] * 1e3:8.1f} ms  "
-        f"process/serial {backends['process_vs_serial']:.2f}x"
-    )
-    # The shared skip-not-fail multicore policy lives in conftest; a
-    # parity-only run skips the speed gate regardless of cores.
-    process_gated = not args.parity_only and multicore_gated(
-        "process backend gate"
-    )
-    if process_gated and backends["process_vs_serial"] < args.process_threshold:
-        failures.append(
-            f"process backend {backends['process_vs_serial']:.2f}x vs serial "
-            f"< {args.process_threshold:.1f}x"
-        )
-    if args.parity_only:
-        print("  (process gate skipped: parity-only run)")
-
     subsets = bench_subsets(max(2, args.repetitions // 2))
     for row in subsets:
         gated = not row["full_set_robust"]
@@ -339,11 +270,9 @@ def main(argv=None) -> int:
             "cpu_count": cores,
             "parity_blocks_checked": blocks_checked,
             "single_core": single,
-            "backends": {**backends, "gated": process_gated},
             "subset_enumeration": subsets,
             "thresholds": {
                 "kernel": args.kernel_threshold,
-                "process": args.process_threshold,
                 "subsets": args.subsets_threshold,
             },
             "failures": failures,
@@ -362,12 +291,7 @@ def main(argv=None) -> int:
             if args.parity_only
             else (
                 f"; batch kernel >= {args.kernel_threshold:.1f}x, "
-                + (
-                    f"process >= {args.process_threshold:.1f}x vs serial, "
-                    if process_gated
-                    else "process gate skipped, "
-                )
-                + f"matrix >= {args.subsets_threshold:.1f}x on non-robust grids"
+                f"matrix >= {args.subsets_threshold:.1f}x on non-robust grids"
             )
         )
     )

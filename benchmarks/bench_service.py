@@ -23,7 +23,7 @@ Three gated phases over the analysis service:
    p50/p99; the throughput gate (concurrent >= serial x
    ``--concurrent-threshold``) is enforced only on hosts with
    >= 3 cores — skip-not-fail on small hosts via
-   :func:`conftest.multicore_gated`, the bench_kernel precedent — but the
+   :func:`conftest.multicore_gated` — but the
    latency percentiles and per-request payload identity are always
    checked and recorded.
 

@@ -25,9 +25,9 @@ MULTICORE_MIN_CORES = 3
 def multicore_gated(gate_name: str) -> bool:
     """Whether a multi-core-only speed gate should be *enforced* here.
 
-    The shared skip-not-fail policy (bench_kernel's process gate, the
-    service concurrency gate): returns ``False`` — printing the skip so
-    logs show the gate was considered, not forgotten — on hosts with
+    The skip-not-fail policy of the service concurrency gate: returns
+    ``False`` — printing the skip so logs show the gate was considered,
+    not forgotten — on hosts with
     fewer than :data:`MULTICORE_MIN_CORES` cores, where the parallel
     path degrades to serial by design and the gate cannot be meaningful.
     """

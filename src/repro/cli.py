@@ -40,14 +40,12 @@ Commands:
 * ``experiments
   <table2|figure6|figure7|figure8|false-negatives|repairs|all>`` —
   regenerate the paper's evaluation artifacts (one shared warm-session
-  service drives all grids, so e.g. Figure 7 reuses Figure 6's blocks;
-  ``--cell-jobs N`` executes independent grid cells on a worker pool).
+  service drives all grids, so e.g. Figure 7 reuses Figure 6's blocks).
 
-All commands accept any workload source :meth:`Workload.resolve` does, and
-the analysis commands accept ``--jobs N`` to compute pairwise edge blocks
-with ``N`` concurrent workers and ``--backend thread|process`` to pick the
-worker pool (``process`` fans compiled statement profiles out over real
-cores).  ``--json`` emits machine-readable reports
+All commands accept any workload source :meth:`Workload.resolve` does.
+The removed ``--jobs``/``--backend``/``--cell-jobs`` flags are still
+accepted for one release, hidden from ``--help``, ignored, and reported
+with one warning line on stderr.  ``--json`` emits machine-readable reports
 (``RobustnessReport.to_dict`` shapes) for embedding in CI pipelines — the
 ``analyze``/``subsets``/``graph`` JSON paths dispatch through the same
 :meth:`AnalysisService.handle` as the HTTP routes, so CLI output and
@@ -65,6 +63,7 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.analysis.session import Analyzer
+from repro.deprecation import ignore_removed_options
 from repro.errors import ReproError
 from repro.faults import FaultPlan, install_plan
 from repro.experiments.false_negatives import run_false_negatives
@@ -84,7 +83,6 @@ from repro.service.requests import (
     SubsetsRequest,
     WatchRequest,
 )
-from repro.summary import planes
 from repro.summary.settings import ALL_SETTINGS, ATTR_DEP_FK, AnalysisSettings
 from repro.viz import to_dot, to_text
 
@@ -115,30 +113,24 @@ def _add_json_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        metavar="N",
-        help="compute pairwise edge blocks with N concurrent workers",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=["thread", "process"],
-        default="thread",
-        help="worker pool for --jobs: 'thread' (default) or 'process' "
-        "(real multi-core fan-out over compiled statement profiles; "
-        "without --jobs, 'process' uses one worker per CPU core)",
-    )
+#: Removed flags still parsed (hidden) so old invocations keep working;
+#: :func:`main` warns about them and passes them nowhere.
+_REMOVED_FLAGS = ("--jobs", "--backend", "--cell-jobs")
 
 
-def _service_from(args: argparse.Namespace) -> AnalysisService:
-    """One-command service: same request layer as ``repro serve``."""
-    return AnalysisService(jobs=args.jobs, backend=args.backend)
+def _add_removed_arguments(
+    parser: argparse.ArgumentParser, cell_jobs: bool = False
+) -> None:
+    parser.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
+    parser.add_argument(
+        "--backend", choices=["thread", "process"], help=argparse.SUPPRESS
+    )
+    if cell_jobs:
+        parser.add_argument("--cell-jobs", type=int, help=argparse.SUPPRESS)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    service = _service_from(args)
+    service = AnalysisService()
     subset = _subset_from(args.subset)
     request = AnalyzeRequest(
         workload=args.workload,
@@ -181,7 +173,7 @@ def _print_spans(nodes: list, indent: int) -> None:
 
 
 def _cmd_subsets(args: argparse.Namespace) -> int:
-    service = _service_from(args)
+    service = AnalysisService()
     request = SubsetsRequest(
         workload=args.workload, setting=args.setting, method=args.method
     )
@@ -193,7 +185,7 @@ def _cmd_subsets(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
-    service = _service_from(args)
+    service = AnalysisService()
     request = GraphRequest(workload=args.workload, setting=args.setting)
     if args.json:
         print(json.dumps(request.payload(service), indent=2))
@@ -215,7 +207,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_advise(args: argparse.Namespace) -> int:
-    service = _service_from(args)
+    service = AnalysisService()
     request = AdviseRequest(
         workload=args.workload,
         setting=args.setting,
@@ -232,7 +224,7 @@ def _cmd_advise(args: argparse.Namespace) -> int:
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:
-    service = _service_from(args)
+    service = AnalysisService()
     request = WatchRequest(
         workload=args.workload,
         setting=args.setting,
@@ -251,7 +243,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache_save(args: argparse.Namespace) -> int:
-    session = Analyzer(args.workload, jobs=args.jobs, backend=args.backend)
+    session = Analyzer(args.workload)
     settings_list = ALL_SETTINGS if args.all_settings else [_settings_from(args.setting)]
     for settings in settings_list:
         session.summary_graph(settings)
@@ -326,8 +318,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # directory.  Runs once per worker process under --workers.
         service = AnalysisService(
             capacity=args.capacity,
-            jobs=args.jobs,
-            backend=args.backend,
             cache_dir=args.cache_dir,
             deadline_seconds=args.deadline,
             max_inflight=args.max_inflight,
@@ -343,13 +333,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     def shutdown(service: AnalysisService) -> None:
         # Clean shutdown (Ctrl-C or SIGTERM): spill the warm pool so the
-        # next `repro serve --cache-dir` starts where this one stopped,
-        # and unlink any shared-memory segments a killed worker pool left
-        # behind.
+        # next `repro serve --cache-dir` starts where this one stopped.
         if args.cache_dir:
             saved = service.save_to_cache_dir(args.cache_dir)
             print(f"spilled {len(saved)} warm session(s) to {args.cache_dir}")
-        planes.cleanup_segments()
 
     if args.workers > 1:
         def announce(host: str, port: int, ready: int) -> None:
@@ -383,15 +370,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_experiments(args: argparse.Namespace) -> int:
     # One warm-session service behind every grid: `experiments all` shares
     # unfoldings and pairwise edge blocks across tables and figures (Figure 7
-    # reuses every block Figure 6 computed).  --cell-jobs fans independent
-    # grid cells over a worker pool (timing grids like figure8 stay serial
-    # so concurrent cells cannot skew their wall-clock samples).
-    service = AnalysisService(jobs=args.jobs, backend=args.backend)
-    cell_jobs = args.cell_jobs
+    # reuses every block Figure 6 computed).
+    service = AnalysisService()
     runners = {
-        "table2": lambda: run_table2(service=service, cell_jobs=cell_jobs).to_text(),
-        "figure6": lambda: run_figure6(service, cell_jobs=cell_jobs).to_text(),
-        "figure7": lambda: run_figure7(service, cell_jobs=cell_jobs).to_text(),
+        "table2": lambda: run_table2(service=service).to_text(),
+        "figure6": lambda: run_figure6(service).to_text(),
+        "figure7": lambda: run_figure7(service).to_text(),
         "figure8": lambda: run_figure8(
             scales=args.scales or (1, 2, 4, 8, 12, 16, 24, 32),
             repetitions=args.repetitions,
@@ -441,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_setting_argument(analyze)
     _add_json_argument(analyze)
-    _add_jobs_argument(analyze)
+    _add_removed_arguments(analyze)
     analyze.set_defaults(func=_cmd_analyze)
 
     subsets = subparsers.add_parser("subsets", help="maximal robust subsets")
@@ -449,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     subsets.add_argument("--method", choices=["type-II", "type-I"], default="type-II")
     _add_setting_argument(subsets)
     _add_json_argument(subsets)
-    _add_jobs_argument(subsets)
+    _add_removed_arguments(subsets)
     subsets.set_defaults(func=_cmd_subsets)
 
     graph = subparsers.add_parser("graph", help="render the summary graph")
@@ -462,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_setting_argument(graph)
     _add_json_argument(graph)
-    _add_jobs_argument(graph)
+    _add_removed_arguments(graph)
     graph.set_defaults(func=_cmd_graph)
 
     advise = subparsers.add_parser(
@@ -479,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     advise.add_argument("--method", choices=["type-II", "type-I"], default="type-II")
     _add_setting_argument(advise)
     _add_json_argument(advise)
-    _add_jobs_argument(advise)
+    _add_removed_arguments(advise)
     advise.set_defaults(func=_cmd_advise)
 
     watch = subparsers.add_parser(
@@ -512,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_setting_argument(watch)
     _add_json_argument(watch)
-    _add_jobs_argument(watch)
+    _add_removed_arguments(watch)
     watch.set_defaults(func=_cmd_watch)
 
     cache = subparsers.add_parser(
@@ -530,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="cache blocks for all four Section 7.2 settings",
     )
     _add_setting_argument(cache_save)
-    _add_jobs_argument(cache_save)
+    _add_removed_arguments(cache_save)
     cache_save.set_defaults(func=_cmd_cache_save)
     cache_load = cache_sub.add_parser(
         "load", help="restore a saved cache and analyze without recomputation"
@@ -606,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
         "default from REPRO_LOG, else info) — one JSON object per line "
         "on stderr, including per-request access logs",
     )
-    _add_jobs_argument(serve)
+    _add_removed_arguments(serve)
     serve.set_defaults(func=_cmd_serve)
 
     experiments = subparsers.add_parser(
@@ -624,20 +608,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     experiments.add_argument("--repetitions", type=int, default=10)
     experiments.add_argument(
-        "--cell-jobs",
-        type=int,
-        metavar="N",
-        help="execute independent grid cells on N worker threads "
-        "(subset/characteristics grids; timing grids stay serial)",
-    )
-    experiments.add_argument(
         "--max-edits",
         type=int,
         default=3,
         metavar="N",
         help="edit budget for the repairs experiment (default: 3)",
     )
-    _add_jobs_argument(experiments)
+    _add_removed_arguments(experiments, cell_jobs=True)
     experiments.set_defaults(func=_cmd_experiments)
     return parser
 
@@ -645,6 +622,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    removed = {
+        flag: getattr(args, flag[2:].replace("-", "_"), None)
+        for flag in _REMOVED_FLAGS
+    }
+    # stacklevel=2 attributes the DeprecationWarning to this module, which
+    # the default filters hide: the stderr line below is the one report.
+    message = ignore_removed_options("command line", removed, stacklevel=2)
+    if message is not None:
+        print(f"repro: warning: {message}", file=sys.stderr)
     try:
         return args.func(args)
     except (ReproError, ValueError, OSError) as error:

@@ -4,9 +4,8 @@ One id stitches an HTTP request to every log record it caused: the
 handler opens a :func:`trace_scope` (honoring an inbound
 ``X-Repro-Trace-Id`` header, else minting one), the contextvar flows
 through ``AnalysisService.handle`` → ``Analyzer`` → ``EdgeBlockStore``
-on the same thread, and the process backend threads the id through its
-``(sweep, row-range)`` task descriptors so even records emitted about
-work done in a forked pool worker carry the originating request's id.
+on the same thread, so the block sweeps a request triggers log under its
+id.
 
 The pattern mirrors ``repro.faults.inject``: with no scope open the fast
 path is a single contextvar read returning ``None``.

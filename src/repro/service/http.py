@@ -19,7 +19,7 @@ just ``http.server``.  Routes:
 Every request runs under a :func:`repro.obs.trace_scope`: an inbound
 ``X-Repro-Trace-Id`` header is honored (else an id is minted), echoed on
 the response, and attached to every log record the request causes — all
-the way down into process-backend sweeps.  Completion emits one
+the way down into block sweeps.  Completion emits one
 structured access-log line (method, route, status, duration, shed and
 deadline flags) through ``repro.obs.log``.
 
@@ -68,6 +68,11 @@ RESPONSES_TOTAL = obs_metrics.REGISTRY.counter(
     "HTTP responses sent, by method, route and status code.",
     labelnames=("method", "route", "status"),
 )
+
+#: Largest request body accepted.  A larger ``Content-Length`` answers 413
+#: before any body byte is read; the largest generated workload text,
+#: Auction(96), is ~54 KB.
+MAX_BODY_BYTES = 8 * 1024 * 1024
 
 #: How long a shutting-down server waits for in-flight requests to finish
 #: before closing anyway (they still run on daemon threads, but their
@@ -194,9 +199,21 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         if length is None:
             raise ServiceError("request body required (send Content-Length)")
         try:
-            raw = self.rfile.read(int(length))
+            size = int(length)
         except ValueError:
-            raise ServiceError(f"invalid Content-Length {length!r}") from None
+            size = -1
+        if size < 0:
+            # A negative length would become rfile.read(-1): a read until
+            # the client disconnects, pinning this handler thread.
+            raise ServiceError(f"invalid Content-Length {length!r}")
+        if size > MAX_BODY_BYTES:
+            raise ServiceError(
+                f"request body of {size} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
+                kind="payload_too_large",
+                status=413,
+            )
+        raw = self.rfile.read(size)
         try:
             return json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping
 
+from repro.deprecation import ignore_removed_options
 from repro.detection.subsets import METHODS, SubsetsReport, maximal_subsets
 from repro.errors import ReproError
 from repro.service.grid import GridResult, GridSpec
@@ -167,7 +168,7 @@ class AnalyzeRequest:
     ``profile=True`` additionally collects the per-stage span tree
     (:mod:`repro.obs.spans`) and echoes it under a ``"profile"`` key in
     the payload; without the flag the payload is byte-identical to what
-    it has always been (the opt-in-key precedent of ``fault_info``).
+    it has always been.
     """
 
     workload: str
@@ -331,7 +332,6 @@ class GridRequest:
     repetitions: int = 1
     warm: bool = True
     include_verdicts: bool = False
-    cell_jobs: int | None = None
 
     kind = "grid"
 
@@ -350,9 +350,11 @@ class GridRequest:
                 f"{cls.kind} request: missing required field 'workloads' "
                 "(a non-empty list of workload sources)"
             )
-        cell_jobs = (
-            _int(data, "cell_jobs", cls.kind, 1) if "cell_jobs" in data else None
-        )
+        if "cell_jobs" in data:
+            ignore_removed_options(
+                "grid request",
+                {"cell_jobs": _int(data, "cell_jobs", cls.kind, 1)},
+            )
         return cls(
             workloads=workloads,
             settings=_name_list(data, "settings", cls.kind),
@@ -361,7 +363,6 @@ class GridRequest:
             repetitions=_int(data, "repetitions", cls.kind, 1),
             warm=_bool(data, "warm", cls.kind, True),
             include_verdicts=_bool(data, "include_verdicts", cls.kind, False),
-            cell_jobs=cell_jobs,
         )
 
     def spec(self) -> GridSpec:
@@ -379,7 +380,6 @@ class GridRequest:
                 repetitions=self.repetitions,
                 warm=self.warm,
                 include_verdicts=self.include_verdicts,
-                cell_jobs=self.cell_jobs,
             )
         except ReproError as error:
             raise ServiceError(f"{self.kind} request: {error}") from None

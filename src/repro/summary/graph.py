@@ -73,7 +73,7 @@ class SummaryEdge(NamedTuple):
     colours of Section 6.2 (dashed edges in the paper's figures).
 
     A named tuple rather than a dataclass: Algorithm 1's compiled kernel
-    constructs (and the process backend pickles) one of these per edge of
+    constructs one of these per edge of
     every block, and tuple allocation is several times cheaper than a
     frozen dataclass ``__init__`` — field access, equality and hashing are
     unchanged.

@@ -43,22 +43,10 @@ frozenset originals): with ``any_j = wj|rj|pj`` and ``rp_i = ri|pi``,
 * ``cDepConds`` is ``(pi ∧ wj) ∨ (ri ∧ wj ∧ ¬blocked)`` which, writing
   ``rpw = (rp_i ∧ wj)``, equals ``(rpw ∧ ¬blocked) ∨ ((pi ∧ wj) ∧
   blocked)`` — two mask tests plus the FK test instead of three.
-
-The ``backend="process"`` fan-out of
-:class:`~repro.summary.pairwise.EdgeBlockStore` builds on the same planes
-via ``multiprocessing.shared_memory``: the parent copies the plane buffers
-into one read-only shared segment, workers **map them zero-copy** (no
-profile pickling — a work item is just ``(sweep id, row range)``), run the
-same sweep kernels over their row slice, and write dense nc/cf bitset rows
-into a preallocated shared output plane; the parent extracts coordinates
-from the output plane exactly as the serial path does, so results are
-deterministic whatever order tasks complete in.
 """
 
 from __future__ import annotations
 
-import atexit
-import itertools
 import os
 import threading
 import time
@@ -66,9 +54,6 @@ from array import array
 from typing import Iterable, NamedTuple, Sequence
 
 from repro.errors import ProgramError
-from repro.faults import inject as _faults
-from repro.obs import log as obs_log
-from repro.obs.trace import current_trace_id, set_trace_id
 from repro.summary.tables import C_CODE_ROWS, ENTRY_COND, ENTRY_TRUE, NC_CODE_ROWS
 
 try:  # pragma: no cover - exercised via both kernel paths in tests
@@ -265,9 +250,8 @@ class PlaneView(NamedTuple):
 
     ``writes``/``preads``/``anyrw``/``rp``/``fks`` are flat little-endian
     64-bit word buffers with ``words`` words per row; ``rels``/``types``
-    are flat signed-64 buffers, one word per row.  Built either from a
-    :class:`PlaneArena` (serial path) or from a mapped shared-memory
-    segment (process workers) — the kernels cannot tell the difference.
+    are flat signed-64 buffers, one word per row, as exported by
+    :meth:`PlaneArena.buffers`.
     """
 
     words: int
@@ -699,7 +683,7 @@ def sweep_blocks(
 
 
 # ---------------------------------------------------------------------------
-# dense bitset emission (bench + process-backend wire format)
+# dense bitset emission (measured by benchmarks/bench_kernel.py)
 # ---------------------------------------------------------------------------
 
 def dense_rows(
@@ -713,8 +697,7 @@ def dense_rows(
 
     Row ``s`` of each plane is ``ceil(len(cols)/8)`` bytes; bit ``t``
     (little-endian within the row) is set when the ordered occurrence pair
-    ``(rows[s], cols[t])`` admits that dependency.  This is the
-    preallocated-output-plane format process workers write.
+    ``(rows[s], cols[t])`` admits that dependency.
     """
     stride = (len(cols) + 7) // 8
     if resolve_kernel(kernel) == "numpy":
@@ -748,287 +731,3 @@ def _indicator_bytes(indicator: int, k: int, stride: int) -> bytes:
         dense |= 1 << ((low.bit_length() - 1) // k)
         indicator ^= low
     return dense.to_bytes(stride, "little")
-
-
-def coords_from_dense(
-    nc_plane: bytes, cf_plane: bytes, row_count: int, col_count: int
-) -> list[tuple[int, int, bool, bool]]:
-    """Sweep coordinates back out of dense bitset planes."""
-    stride = (col_count + 7) // 8
-    coords: list[tuple[int, int, bool, bool]] = []
-    for s in range(row_count):
-        nc = int.from_bytes(nc_plane[s * stride : (s + 1) * stride], "little")
-        cf = int.from_bytes(cf_plane[s * stride : (s + 1) * stride], "little")
-        merged = nc | cf
-        while merged:
-            low = merged & -merged
-            t = low.bit_length() - 1
-            coords.append((s, t, bool(nc & low), bool(cf & low)))
-            merged ^= low
-    return coords
-
-
-# ---------------------------------------------------------------------------
-# shared-memory process fan-out
-# ---------------------------------------------------------------------------
-
-#: Parent-side registry of live (created, not yet unlinked) segments, so
-#: abnormal exits can best-effort unlink instead of leaking ``/dev/shm``
-#: entries.  Keyed by segment name; the value carries the mapped object
-#: (unlinking needs one) and an owner token, letting one store's finalizer
-#: clean up after itself without unlinking a concurrent store's batch.
-_LIVE_SEGMENTS: dict[str, tuple[object, object | None]] = {}
-_LIVE_LOCK = threading.Lock()
-_SEGMENT_IDS = itertools.count()
-
-
-def _create_segment(size: int, owner: object | None = None):
-    """A named shared-memory segment, registered for leak cleanup.
-
-    Names are ``repro_<pid>_<n>`` so a test (or an operator) can audit
-    ``/dev/shm`` for this library's residue specifically.
-    """
-    from multiprocessing import shared_memory
-
-    if _faults.fire("shm.attach") is not None:
-        raise OSError("injected fault: shared-memory segment creation failed")
-    name = f"repro_{os.getpid()}_{next(_SEGMENT_IDS)}"
-    segment = shared_memory.SharedMemory(name=name, create=True, size=max(size, 1))
-    with _LIVE_LOCK:
-        _LIVE_SEGMENTS[segment.name] = (segment, owner)
-    return segment
-
-
-def _release_segment(segment) -> None:
-    """Close and unlink one segment, dropping it from the live registry."""
-    with _LIVE_LOCK:
-        _LIVE_SEGMENTS.pop(segment.name, None)
-    try:
-        segment.close()
-        segment.unlink()
-    except OSError:  # pragma: no cover - already gone (cleanup raced us)
-        pass
-
-
-def live_segments() -> tuple[str, ...]:
-    """Names of segments created but not yet unlinked (leak diagnostics)."""
-    with _LIVE_LOCK:
-        return tuple(sorted(_LIVE_SEGMENTS))
-
-
-def cleanup_segments(owner: object | None = None) -> int:
-    """Best-effort unlink of registered segments; returns how many.
-
-    With ``owner`` only that owner's segments go (a store finalizer
-    cleaning up after itself); without, everything does (the ``repro
-    serve`` SIGTERM path and the :mod:`atexit` hook).  Safe to call any
-    time: normally the sweep's ``finally`` has already emptied the
-    registry and this is a no-op.
-    """
-    with _LIVE_LOCK:
-        doomed = [
-            segment
-            for segment, seg_owner in _LIVE_SEGMENTS.values()
-            if owner is None or seg_owner is owner
-        ]
-    for segment in doomed:
-        _release_segment(segment)
-    return len(doomed)
-
-
-atexit.register(cleanup_segments)
-
-
-#: Worker-side cache of attached segments, keyed by shm name; entries not
-#: referenced by the current task generation are closed (the parent unlinks
-#: segments after every batch, so stale attachments only waste mappings).
-_WORKER_SEGMENTS: dict = {}
-
-
-def _attach_segment(name: str):
-    from multiprocessing import shared_memory
-
-    segment = _WORKER_SEGMENTS.get(name)
-    if segment is None:
-        # Attaching re-registers the name with the process tree's (shared)
-        # resource tracker, which is an idempotent set-add; the parent's
-        # unlink() performs the single matching unregister.  Do NOT
-        # unregister here — that would double-unregister and make the
-        # tracker log a KeyError at interpreter exit.
-        segment = shared_memory.SharedMemory(name=name)
-        _WORKER_SEGMENTS[name] = segment
-    return segment
-
-
-def _prune_segments(keep: set) -> None:
-    for name in list(_WORKER_SEGMENTS):
-        if name not in keep:
-            try:
-                _WORKER_SEGMENTS.pop(name).close()
-            except Exception:  # pragma: no cover - best effort
-                pass
-
-
-_PLANE_ORDER = ("writes", "preads", "anyrw", "rp", "fks", "rels", "types")
-
-
-def pack_shared_input(arena: PlaneArena, owner: object | None = None):
-    """Copy the arena's planes into one read-only shared-memory segment.
-
-    Returns ``(segment, layout)`` where the layout carries the per-plane
-    byte offsets and the slot width — everything a worker needs to rebuild
-    a :class:`PlaneView` zero-copy from the mapped buffer.
-    """
-    buffers = arena.buffers()
-    offsets: dict[str, tuple[int, int]] = {}
-    cursor = 0
-    for key in _PLANE_ORDER:
-        size = buffers[key].nbytes
-        offsets[key] = (cursor, size)
-        cursor += size
-    segment = _create_segment(cursor, owner)
-    for key in _PLANE_ORDER:
-        offset, size = offsets[key]
-        if size:
-            segment.buf[offset : offset + size] = buffers[key]
-    return segment, {"words": arena.words, "offsets": offsets}
-
-
-def view_from_shared(buffer: memoryview, layout: dict) -> PlaneView:
-    planes = {}
-    for key in _PLANE_ORDER:
-        offset, size = layout["offsets"][key]
-        planes[key] = buffer[offset : offset + size]
-    return PlaneView(layout["words"], *(planes[key] for key in _PLANE_ORDER))
-
-
-def _plane_worker(task: dict) -> int:
-    """Compute one row slice of one sweep into the shared output plane."""
-    if task.get("kill"):
-        # Injected worker.kill fault: die the way a real OOM-killed or
-        # segfaulting worker does — no exception, no cleanup — so the
-        # parent observes a genuine BrokenProcessPool and the pool is
-        # genuinely unusable afterwards.
-        os._exit(1)
-    # Adopt the originating request's trace id (shipped in the task
-    # descriptor) so anything this worker logs or raises is attributable
-    # to the HTTP request that caused the sweep.
-    set_trace_id(task.get("trace_id"))
-    _prune_segments({task["input_name"], task["output_name"]})
-    input_segment = _attach_segment(task["input_name"])
-    output_segment = _attach_segment(task["output_name"])
-    view = view_from_shared(input_segment.buf, task["layout"])
-    lo, hi = task["row_lo"], task["row_hi"]
-    cols = task["cols"]
-    nc_bytes, cf_bytes = dense_rows(
-        view, task["rows"][lo:hi], cols, task["use_foreign_keys"], task["kernel"]
-    )
-    stride = (len(cols) + 7) // 8
-    nc_offset = task["nc_offset"] + lo * stride
-    cf_offset = task["cf_offset"] + lo * stride
-    output_segment.buf[nc_offset : nc_offset + len(nc_bytes)] = nc_bytes
-    output_segment.buf[cf_offset : cf_offset + len(cf_bytes)] = cf_bytes
-    return hi - lo
-
-
-def process_sweep_blocks(
-    arena: PlaneArena,
-    plans: Sequence[SweepPlan],
-    use_foreign_keys: bool,
-    pool,
-    workers: int,
-    kernel: str | None = None,
-    owner: object | None = None,
-) -> list[dict[tuple[str, str], tuple[tuple[int, int, bool, bool], ...]]]:
-    """Run several sweeps across a process pool, zero-copy via shared memory.
-
-    The input planes ship once per batch (one segment all workers map);
-    each work item is a ``(sweep, row range)`` descriptor; workers write
-    dense nc/cf bitset rows into a preallocated output segment at
-    positional offsets, so extraction order — and therefore every block —
-    is deterministic regardless of scheduling.  Returns one grouped-block
-    dict per plan, aligned with ``plans``.
-    """
-    kernel = resolve_kernel(kernel)
-    input_segment, layout = pack_shared_input(arena, owner)
-    sweeps = []
-    cursor = 0
-    for plan in plans:
-        rows, src_meta = _sweep_rows(arena, plan.sources)
-        cols, dst_meta = _sweep_rows(arena, plan.targets)
-        stride = (len(cols) + 7) // 8
-        size = len(rows) * stride
-        sweeps.append(
-            {
-                "rows": rows,
-                "cols": cols,
-                "src_meta": src_meta,
-                "dst_meta": dst_meta,
-                "stride": stride,
-                "nc_offset": cursor,
-                "cf_offset": cursor + size,
-            }
-        )
-        cursor += 2 * size
-    try:
-        output_segment = _create_segment(cursor, owner)
-    except OSError:
-        _release_segment(input_segment)
-        raise
-    try:
-        tasks = []
-        trace_id = current_trace_id()
-        total_rows = sum(len(sweep["rows"]) for sweep in sweeps) or 1
-        for sweep in sweeps:
-            rows = sweep["rows"]
-            if not rows or not sweep["cols"]:
-                continue
-            # ~4 slices per worker across the whole batch amortizes dispatch
-            # while keeping the pool fed; slices stay row-aligned.
-            share = max(1, round(len(rows) * workers * 4 / total_rows))
-            step = max(1, len(rows) // share)
-            for lo in range(0, len(rows), step):
-                tasks.append(
-                    {
-                        "input_name": input_segment.name,
-                        "output_name": output_segment.name,
-                        "layout": layout,
-                        "rows": rows,
-                        "cols": sweep["cols"],
-                        "row_lo": lo,
-                        "row_hi": min(lo + step, len(rows)),
-                        "nc_offset": sweep["nc_offset"],
-                        "cf_offset": sweep["cf_offset"],
-                        "use_foreign_keys": use_foreign_keys,
-                        "kernel": kernel,
-                        "trace_id": trace_id,
-                    }
-                )
-        if tasks and _faults.fire("worker.kill") is not None:
-            # One poison task per batch: the worker that picks it up dies
-            # abruptly (os._exit), breaking the pool for real.
-            tasks.insert(0, {"kill": True})
-        if tasks:
-            obs_log.debug(
-                "sweep.dispatch",
-                tasks=len(tasks),
-                sweeps=len(sweeps),
-                workers=workers,
-            )
-            list(pool.map(_plane_worker, tasks))
-        results = []
-        output = bytes(output_segment.buf)
-        for sweep in sweeps:
-            rows, cols = sweep["rows"], sweep["cols"]
-            size = len(rows) * sweep["stride"]
-            coords = coords_from_dense(
-                output[sweep["nc_offset"] : sweep["nc_offset"] + size],
-                output[sweep["cf_offset"] : sweep["cf_offset"] + size],
-                len(rows),
-                len(cols),
-            )
-            results.append(group_coords(coords, sweep["src_meta"], sweep["dst_meta"]))
-        return results
-    finally:
-        _release_segment(input_segment)
-        _release_segment(output_segment)

@@ -3,8 +3,8 @@
 The load-bearing property: the batch sweep — stdlib SWAR and numpy alike —
 must reproduce ``pair_edges_reference`` edge for edge for every ordered
 program pair, across all four Section 7.2 settings.  On top of that the
-two kernels must agree *bit for bit* on the dense bitset planes the
-process backend ships over shared memory.
+two kernels must agree *bit for bit* on the dense bitset planes that
+``benchmarks/bench_kernel.py`` measures.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.summary.pairwise import (
 from repro.summary.planes import (
     PlaneArena,
     arena_view,
-    coords_from_dense,
     dense_rows,
     plan_sweeps,
     resolve_kernel,
@@ -146,6 +145,20 @@ class TestKernelAgreement:
         ) == sweep_blocks(arena, names, names, use_fk, kernel="stdlib")
 
 
+def _coords_from_dense(nc_plane, cf_plane, row_count, col_count):
+    """Sweep coordinates read back out of ``dense_rows``' bitset planes."""
+    stride = (col_count + 7) // 8
+    coords = []
+    for s in range(row_count):
+        nc = int.from_bytes(nc_plane[s * stride : (s + 1) * stride], "little")
+        cf = int.from_bytes(cf_plane[s * stride : (s + 1) * stride], "little")
+        for t in range(col_count):
+            bit = 1 << t
+            if (nc | cf) & bit:
+                coords.append((s, t, bool(nc & bit), bool(cf & bit)))
+    return coords
+
+
 class TestDenseRoundTrip:
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_coords_survive_dense_encoding(self, kernel):
@@ -155,7 +168,7 @@ class TestDenseRoundTrip:
         rows = list(range(arena.capacity))
         view = arena_view(arena)
         nc_plane, cf_plane = dense_rows(view, rows, rows, True, kernel=kernel)
-        decoded = coords_from_dense(nc_plane, cf_plane, len(rows), len(rows))
+        decoded = _coords_from_dense(nc_plane, cf_plane, len(rows), len(rows))
         if kernel == "numpy":
             direct = planes._np_coords(view, rows, rows, True)
         else:

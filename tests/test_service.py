@@ -10,6 +10,7 @@ warm start, thread safety of one hammered session, and — through a live
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -30,6 +31,7 @@ from repro.service import (
     make_server,
     parse_request,
 )
+from repro.service.http import MAX_BODY_BYTES
 from repro.summary.settings import ALL_SETTINGS, ATTR_DEP_FK
 from repro.workloads import auction, smallbank, tpcc
 
@@ -93,16 +95,13 @@ class TestSessionPool:
         assert pooled == {"SmallBank", "Auction"}
 
     def test_fresh_session_is_unpooled(self):
-        service = AnalysisService(jobs=2, backend="thread")
-        session = service.fresh_session("auction")
-        assert session.jobs == 2
+        service = AnalysisService()
+        service.fresh_session("auction")
         assert service.sessions() == {}
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ProgramError):
             AnalysisService(capacity=0)
-        with pytest.raises(ProgramError):
-            AnalysisService(backend="quantum")
 
     def test_stats_surface_cache_info(self):
         service = AnalysisService()
@@ -462,6 +461,24 @@ def _get(server, path: str) -> tuple[int, bytes]:
         return error.code, error.read()
 
 
+def _raw_post(server, content_length: str) -> tuple[int, dict]:
+    """POST /v1/analyze with a hand-written ``Content-Length`` and no body.
+
+    The socket timeout turns a server that waits on the body into a test
+    failure instead of a hung suite."""
+    port = server.server_address[1]
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(
+            b"POST /v1/analyze HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+            + f"Content-Length: {content_length}\r\n\r\n".encode()
+        )
+        response = b""
+        while chunk := sock.recv(65536):
+            response += chunk
+    head, _, body = response.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
 class TestHTTP:
     @pytest.mark.parametrize("workload", BUILTINS)
     @pytest.mark.parametrize("settings", ALL_SETTINGS, ids=lambda s: s.label)
@@ -521,6 +538,21 @@ class TestHTTP:
         envelope = json.loads(body)["error"]
         assert envelope["type"] == "invalid_request"
         assert envelope["exit_code"] == 2
+
+    @pytest.mark.parametrize(
+        "content_length, status, kind",
+        [
+            ("-1", 400, "invalid_request"),
+            ("twelve", 400, "invalid_request"),
+            (str(MAX_BODY_BYTES + 1), 413, "payload_too_large"),
+        ],
+    )
+    def test_bad_content_length_is_answered_without_reading(
+        self, http_server, content_length, status, kind
+    ):
+        got_status, payload = _raw_post(http_server, content_length)
+        assert got_status == status
+        assert payload["error"]["type"] == kind
 
     def test_malformed_request_gets_the_envelope(self, http_server):
         status, body = _post(
@@ -690,7 +722,8 @@ class TestEvictionSpill:
 
 
 class TestCellJobs:
-    """Satellite: GridSpec cell-level fan-out."""
+    """``cell_jobs`` is accepted for one release and ignored: cells run
+    one after another and payloads are those of a run without it."""
 
     def test_parallel_grid_payload_identical_to_serial(self):
         def stripped(result):
@@ -711,35 +744,24 @@ class TestCellJobs:
             include_verdicts=True,
         )
         serial = serial_service.grid(GridSpec(**spec))
-        parallel = parallel_service.grid(GridSpec(**spec, cell_jobs=4))
+        with pytest.warns(DeprecationWarning, match="cell_jobs"):
+            parallel_spec = GridSpec(**spec, cell_jobs=4)
+        parallel = parallel_service.grid(parallel_spec)
         assert stripped(serial) == stripped(parallel)
         assert [c.workload for c in parallel.cells] == [c.workload for c in serial.cells]
 
-    def test_cell_jobs_validation(self):
-        with pytest.raises(ProgramError, match="cell_jobs"):
-            GridSpec(workloads=("auction",), cell_jobs=0)
-
     def test_cell_jobs_through_the_request_layer(self):
         service = AnalysisService()
-        payload = service.handle(
-            "grid",
-            {
-                "workloads": ["auction"],
-                "settings": ["attr dep"],
-                "cell_jobs": 2,
-            },
-        )
+        with pytest.warns(DeprecationWarning, match="cell_jobs"):
+            payload = service.handle(
+                "grid",
+                {
+                    "workloads": ["auction"],
+                    "settings": ["attr dep"],
+                    "cell_jobs": 2,
+                },
+            )
         assert payload["cells"][0]["workload"] == "Auction"
-
-    def test_experiment_runners_accept_cell_jobs(self):
-        from repro.experiments.figure6 import run_figure6
-        from repro.experiments.table2 import run_table2
-
-        service = AnalysisService()
-        table = run_table2(service=service, cell_jobs=4)
-        assert run_table2(service=service).rows == table.rows
-        figure = run_figure6(service, cell_jobs=4)
-        assert all(cell.matches_paper for cell in figure.cells)
 
 
 # ---------------------------------------------------------------------------
