@@ -46,7 +46,6 @@ from repro.detection.subsets import (
 )
 from repro.detection.typei import find_type1_violation
 from repro.detection.typeii import find_type2_violation
-from repro.deprecation import ignore_removed_options
 from repro.errors import ProgramError
 from repro.faults.deadline import check_deadline
 from repro.obs.spans import span
@@ -147,8 +146,7 @@ class Analyzer:
     and :meth:`replace_program` keep every cached pairwise edge block that
     does not involve the changed program — and persistent:
     :meth:`save_cache`/:meth:`load_cache` carry unfoldings and edge blocks
-    across processes.  ``jobs=``/``backend=`` are accepted for one more
-    release and ignored with a :class:`DeprecationWarning`.
+    across processes.
 
     Sessions are thread-safe: a reentrant lock serializes the memoized
     stages (unfold → blocks → reports) and the incremental edits, so
@@ -164,11 +162,8 @@ class Analyzer:
         schema: Schema | None = None,
         name: str | None = None,
         max_loop_iterations: int = 2,
-        jobs: int | None = None,
-        backend: str | None = None,
         block_store: BlockStore | None = None,
     ):
-        ignore_removed_options("Analyzer", {"jobs": jobs, "backend": backend})
         with span("resolve"):
             self.workload = Workload.resolve(source, schema=schema, name=name)
         self.max_loop_iterations = max_loop_iterations

@@ -43,9 +43,7 @@ Commands:
   service drives all grids, so e.g. Figure 7 reuses Figure 6's blocks).
 
 All commands accept any workload source :meth:`Workload.resolve` does.
-The removed ``--jobs``/``--backend``/``--cell-jobs`` flags are still
-accepted for one release, hidden from ``--help``, ignored, and reported
-with one warning line on stderr.  ``--json`` emits machine-readable reports
+``--json`` emits machine-readable reports
 (``RobustnessReport.to_dict`` shapes) for embedding in CI pipelines — the
 ``analyze``/``subsets``/``graph`` JSON paths dispatch through the same
 :meth:`AnalysisService.handle` as the HTTP routes, so CLI output and
@@ -63,7 +61,6 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.analysis.session import Analyzer
-from repro.deprecation import ignore_removed_options
 from repro.errors import ReproError
 from repro.faults import FaultPlan, install_plan
 from repro.experiments.false_negatives import run_false_negatives
@@ -111,22 +108,6 @@ def _add_json_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON"
     )
-
-
-#: Removed flags still parsed (hidden) so old invocations keep working;
-#: :func:`main` warns about them and passes them nowhere.
-_REMOVED_FLAGS = ("--jobs", "--backend", "--cell-jobs")
-
-
-def _add_removed_arguments(
-    parser: argparse.ArgumentParser, cell_jobs: bool = False
-) -> None:
-    parser.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
-    parser.add_argument(
-        "--backend", choices=["thread", "process"], help=argparse.SUPPRESS
-    )
-    if cell_jobs:
-        parser.add_argument("--cell-jobs", type=int, help=argparse.SUPPRESS)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -425,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_setting_argument(analyze)
     _add_json_argument(analyze)
-    _add_removed_arguments(analyze)
     analyze.set_defaults(func=_cmd_analyze)
 
     subsets = subparsers.add_parser("subsets", help="maximal robust subsets")
@@ -433,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     subsets.add_argument("--method", choices=["type-II", "type-I"], default="type-II")
     _add_setting_argument(subsets)
     _add_json_argument(subsets)
-    _add_removed_arguments(subsets)
     subsets.set_defaults(func=_cmd_subsets)
 
     graph = subparsers.add_parser("graph", help="render the summary graph")
@@ -446,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_setting_argument(graph)
     _add_json_argument(graph)
-    _add_removed_arguments(graph)
     graph.set_defaults(func=_cmd_graph)
 
     advise = subparsers.add_parser(
@@ -463,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     advise.add_argument("--method", choices=["type-II", "type-I"], default="type-II")
     _add_setting_argument(advise)
     _add_json_argument(advise)
-    _add_removed_arguments(advise)
     advise.set_defaults(func=_cmd_advise)
 
     watch = subparsers.add_parser(
@@ -496,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_setting_argument(watch)
     _add_json_argument(watch)
-    _add_removed_arguments(watch)
     watch.set_defaults(func=_cmd_watch)
 
     cache = subparsers.add_parser(
@@ -514,7 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cache blocks for all four Section 7.2 settings",
     )
     _add_setting_argument(cache_save)
-    _add_removed_arguments(cache_save)
     cache_save.set_defaults(func=_cmd_cache_save)
     cache_load = cache_sub.add_parser(
         "load", help="restore a saved cache and analyze without recomputation"
@@ -590,7 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
         "default from REPRO_LOG, else info) — one JSON object per line "
         "on stderr, including per-request access logs",
     )
-    _add_removed_arguments(serve)
     serve.set_defaults(func=_cmd_serve)
 
     experiments = subparsers.add_parser(
@@ -614,7 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="edit budget for the repairs experiment (default: 3)",
     )
-    _add_removed_arguments(experiments, cell_jobs=True)
     experiments.set_defaults(func=_cmd_experiments)
     return parser
 
@@ -622,15 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    removed = {
-        flag: getattr(args, flag[2:].replace("-", "_"), None)
-        for flag in _REMOVED_FLAGS
-    }
-    # stacklevel=2 attributes the DeprecationWarning to this module, which
-    # the default filters hide: the stderr line below is the one report.
-    message = ignore_removed_options("command line", removed, stacklevel=2)
-    if message is not None:
-        print(f"repro: warning: {message}", file=sys.stderr)
     try:
         return args.func(args)
     except (ReproError, ValueError, OSError) as error:

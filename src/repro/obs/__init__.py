@@ -17,12 +17,7 @@ from repro.obs import log, metrics
 from repro.obs.clock import monotonic
 from repro.obs.metrics import REGISTRY, render
 from repro.obs.spans import SpanCollector, profile_scope, span
-from repro.obs.trace import (
-    current_trace_id,
-    new_trace_id,
-    set_trace_id,
-    trace_scope,
-)
+from repro.obs.trace import current_trace_id, new_trace_id, trace_scope
 
 __all__ = [
     "log",
@@ -35,6 +30,5 @@ __all__ = [
     "SpanCollector",
     "current_trace_id",
     "new_trace_id",
-    "set_trace_id",
     "trace_scope",
 ]

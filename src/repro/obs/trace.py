@@ -24,7 +24,6 @@ __all__ = [
     "current_trace_id",
     "new_trace_id",
     "trace_scope",
-    "set_trace_id",
 ]
 
 _TRACE: ContextVar[str | None] = ContextVar("repro_trace", default=None)
@@ -62,13 +61,3 @@ def trace_scope(trace_id: str | None = None) -> Iterator[str]:
         yield trace_id
     finally:
         _TRACE.reset(token)
-
-
-def set_trace_id(trace_id: str | None) -> None:
-    """Install ``trace_id`` with no scope to unwind.
-
-    Only for process-pool workers, which adopt the id shipped in their
-    task descriptor for the lifetime of that task; everything in the
-    request path proper uses :func:`trace_scope`.
-    """
-    _TRACE.set(trace_id)

@@ -33,7 +33,6 @@ from typing import TYPE_CHECKING, Any, Mapping
 import os
 
 from repro.analysis.session import CACHE_FORMAT, Analyzer
-from repro.deprecation import ignore_removed_options
 from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
 from repro.obs.clock import monotonic
@@ -169,9 +168,7 @@ class AnalysisService:
         payload = service.handle("analyze", {"workload": "auction(5)"})
 
     ``capacity`` bounds the warm pool (least-recently-used sessions are
-    evicted); ``jobs``/``backend`` are accepted for one more release and
-    ignored with a :class:`DeprecationWarning`.  All entry points are
-    thread-safe.
+    evicted).  All entry points are thread-safe.
 
     Failure-mode knobs (see the README's "Operating under failure"):
     ``deadline_seconds`` puts a cooperative deadline on every top-level
@@ -187,8 +184,6 @@ class AnalysisService:
         self,
         *,
         capacity: int = 8,
-        jobs: int | None = None,
-        backend: str | None = None,
         max_loop_iterations: int = 2,
         cache_dir: str | Path | None = None,
         deadline_seconds: float | None = None,
@@ -215,9 +210,6 @@ class AnalysisService:
             raise ProgramError(
                 f"service poison_threshold must be >= 1, got {poison_threshold}"
             )
-        ignore_removed_options(
-            "AnalysisService", {"jobs": jobs, "backend": backend}
-        )
         self.capacity = capacity
         self.max_loop_iterations = max_loop_iterations
         self.deadline_seconds = deadline_seconds

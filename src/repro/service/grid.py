@@ -20,10 +20,9 @@ the response body of the service's ``/v1/grid`` endpoint.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.deprecation import ignore_removed_options
 from repro.detection.subsets import SubsetsReport, _resolve_method, maximal_subsets
 from repro.errors import ProgramError
 from repro.faults import check_deadline
@@ -55,9 +54,7 @@ class GridSpec:
     every sample); ``include_verdicts`` adds the full subset verdict grid to
     ``task="subsets"`` cells (the false-negative sweep needs it).
 
-    Cells run one after another in workloads-major order.  ``cell_jobs`` is
-    accepted for one more release and ignored with a
-    :class:`DeprecationWarning`; it is not stored on the spec.
+    Cells run one after another in workloads-major order.
     """
 
     workloads: tuple[WorkloadSource, ...]
@@ -67,11 +64,8 @@ class GridSpec:
     repetitions: int = 1
     warm: bool = True
     include_verdicts: bool = False
-    cell_jobs: InitVar[int | None] = None
 
-    def __post_init__(self, cell_jobs: int | None) -> None:
-        # helper → __post_init__ → generated __init__ → caller
-        ignore_removed_options("GridSpec", {"cell_jobs": cell_jobs}, stacklevel=4)
+    def __post_init__(self) -> None:
         object.__setattr__(self, "workloads", tuple(self.workloads))
         object.__setattr__(self, "settings", tuple(self.settings))
         if not self.workloads:

@@ -29,8 +29,11 @@ never a traceback; *unexpected* exceptions route through
 :meth:`ServiceError.internal`, so even a handler crash answers a
 well-formed 500 envelope (the fault tests inject one to prove it).
 Deadline expiries answer 504, shed load answers 503 with a
-``Retry-After`` header.  Request threads hammer warm sessions
-concurrently, which the session-level locking (PR 4) makes safe.
+``Retry-After`` header, and a body that stalls for
+:data:`READ_TIMEOUT_SECONDS` answers 408.  A client that hangs up before
+its response is written is logged as ``http.client_gone``.  Request
+threads hammer warm sessions concurrently, which the session-level
+locking makes safe.
 """
 
 from __future__ import annotations
@@ -73,6 +76,12 @@ RESPONSES_TOTAL = obs_metrics.REGISTRY.counter(
 #: before any body byte is read; the largest generated workload text,
 #: Auction(96), is ~54 KB.
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: Socket timeout on every accepted connection.  A client that stalls
+#: mid-request (e.g. sends fewer body bytes than its ``Content-Length``)
+#: gets a 408 envelope after this long instead of pinning the handler
+#: thread; analysis time is not socket time, so slow requests are unaffected.
+READ_TIMEOUT_SECONDS = 10.0
 
 #: How long a shutting-down server waits for in-flight requests to finish
 #: before closing anyway (they still run on daemon threads, but their
@@ -149,6 +158,9 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
     _started = 0.0
     _observed = True
 
+    #: Applied to the connection socket by ``StreamRequestHandler.setup``.
+    timeout = READ_TIMEOUT_SECONDS
+
     def _send_body(
         self,
         status: int,
@@ -170,8 +182,21 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             self.send_header(TRACE_HEADER, trace_id)
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        try:
+            self.end_headers()
+            self.wfile.write(body)
+        except (ConnectionError, TimeoutError) as error:
+            # The client hung up (or stopped reading) before taking its
+            # response: nothing is left to answer, so log it and free the
+            # thread without a socketserver traceback.
+            self.close_connection = True
+            obs_log.info(
+                "http.client_gone",
+                method=self.command or "?",
+                route=self._route,
+                status=status,
+                error=type(error).__name__,
+            )
 
     def _respond(
         self,
@@ -213,7 +238,20 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
                 kind="payload_too_large",
                 status=413,
             )
-        raw = self.rfile.read(size)
+        try:
+            raw = self.rfile.read(size)
+        except TimeoutError:
+            self.close_connection = True
+            raise ServiceError(
+                f"request body not received within {self.timeout:g} s",
+                kind="request_timeout",
+                status=408,
+            ) from None
+        if len(raw) != size:
+            self.close_connection = True
+            raise ServiceError(
+                f"request body ended after {len(raw)} of {size} bytes"
+            )
         try:
             return json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping
 
-from repro.deprecation import ignore_removed_options
 from repro.detection.subsets import METHODS, SubsetsReport, maximal_subsets
 from repro.errors import ReproError
 from repro.service.grid import GridResult, GridSpec
@@ -341,7 +340,7 @@ class GridRequest:
         _reject_unknown_keys(
             data,
             ("workloads", "settings", "task", "method", "repetitions", "warm",
-             "include_verdicts", "cell_jobs"),
+             "include_verdicts"),
             cls.kind,
         )
         workloads = _name_list(data, "workloads", cls.kind)
@@ -349,11 +348,6 @@ class GridRequest:
             raise ServiceError(
                 f"{cls.kind} request: missing required field 'workloads' "
                 "(a non-empty list of workload sources)"
-            )
-        if "cell_jobs" in data:
-            ignore_removed_options(
-                "grid request",
-                {"cell_jobs": _int(data, "cell_jobs", cls.kind, 1)},
             )
         return cls(
             workloads=workloads,

@@ -9,7 +9,7 @@ subset ``𝒫' ⊆ 𝒫`` is assembled by concatenating the cached blocks of its
 ordered pairs — edge-for-edge identical to running the monolithic loop of
 :func:`repro.summary.construct.construct_summary_graph` over ``𝒫'``.
 
-The hot path runs on a **plane-packed batch kernel**
+Every block is computed by the **plane-packed batch sweep**
 (:mod:`repro.summary.planes`) instead of per-pair Python loops:
 
 * each LTP is compiled once, at :meth:`EdgeBlockStore.register` time, to a
@@ -22,20 +22,18 @@ The hot path runs on a **plane-packed batch kernel**
 * profiles' masks are packed into the store's contiguous
   :class:`~repro.summary.planes.PlaneArena`; missing blocks are grouped
   into cross-product **sweeps** and ``ncDepConds``/``cDepConds`` are
-  evaluated for whole occurrence-pair batches at once — elementwise
-  AND/compare passes over the planes (numpy when importable, a stdlib
-  big-int path otherwise) that emit per-block packed coordinates instead
-  of per-pair edge tuples.  Blocks stay packed until something asks for
-  their :class:`~repro.summary.graph.SummaryEdge` tuples.
-
-:func:`_pair_block` keeps the PR 3 scalar kernel — plain integer ANDs with
-the Table 1 dispatch pre-resolved per type-id pair — as the one-shot path
-of :func:`pair_edges` and the baseline `benchmarks/bench_kernel.py`
-measures the batch kernel against.
+  evaluated for whole occurrence-pair batches at once — numpy
+  AND/compare passes over the planes that emit per-block packed
+  coordinates instead of per-pair edge tuples.  Blocks stay packed until
+  something asks for their :class:`~repro.summary.graph.SummaryEdge`
+  tuples.  :func:`pair_edges` computes a single block the same way,
+  through a two-program store.
 
 :func:`pair_edges_reference` keeps the original frozenset formulation as an
-executable specification; parity between the two is property-tested on
-every built-in workload under all four Section 7.2 settings.
+executable specification; parity between it and the sweep is
+property-tested on every built-in workload under all four Section 7.2
+settings, and it is the baseline `benchmarks/bench_kernel.py` measures the
+sweep against.
 
 The block structure is what enables
 
@@ -66,13 +64,7 @@ from repro.summary.conditions import c_dep_conds, nc_dep_conds, protecting_fks
 from repro.summary.fingerprint import program_fingerprint, schema_fingerprint
 from repro.summary.graph import SummaryEdge, SummaryGraph
 from repro.summary.settings import AnalysisSettings, Granularity
-from repro.summary.tables import (
-    C_DEP_ROWS,
-    C_DEP_TABLE,
-    NC_DEP_ROWS,
-    NC_DEP_TABLE,
-    TYPE_INDEX,
-)
+from repro.summary.tables import C_DEP_TABLE, NC_DEP_TABLE, TYPE_INDEX
 
 def _release_store_refs(store: BlockStore, refs: dict) -> None:
     """Finalizer body: release every store reference a dead session held."""
@@ -132,15 +124,11 @@ OccurrenceRow = tuple[str, int, int, int, int, int, int, int]
 class ProgramProfile(NamedTuple):
     """One LTP compiled for the kernel: flat, immutable, and picklable.
 
-    ``occurrences`` preserves program order; ``by_relation`` groups the same
-    rows by interned relation id (order-preserving), which lets the pair
-    loop skip non-matching relations wholesale without perturbing the edge
-    sequence.
+    ``occurrences`` preserves program order.
     """
 
     name: str
     occurrences: tuple[OccurrenceRow, ...]
-    by_relation: dict[int, tuple[OccurrenceRow, ...]]
 
 
 def compile_profile(
@@ -170,64 +158,7 @@ def compile_profile(
                 interner.fk_mask(protecting_fks(program, occurrence.position)),
             )
         )
-    by_relation: dict[int, list[OccurrenceRow]] = {}
-    for row in rows:
-        by_relation.setdefault(row[2], []).append(row)
-    return ProgramProfile(
-        program.name,
-        tuple(rows),
-        {relation: tuple(group) for relation, group in by_relation.items()},
-    )
-
-
-def _pair_block(
-    profile_i: ProgramProfile,
-    profile_j: ProgramProfile,
-    use_foreign_keys: bool,
-) -> list[SummaryEdge]:
-    """The edge block of one ordered pair, over compiled profiles.
-
-    This is the kernel of Algorithm 1: per occurrence pair, two tuple
-    indexings resolve the Table 1 entries and the ⊥ entries are decided by
-    bitwise ANDs (``ncDepConds``/``cDepConds`` over interned masks, with
-    the protecting-FK masks precomputed per position).  Iterating the outer
-    occurrences in program order against the inner profile's per-relation
-    groups (which preserve program order) reproduces the monolithic loop's
-    edge sequence exactly — the original loop skips non-matching relations
-    one pair at a time, this one skips them wholesale.  ``SummaryEdge`` is
-    a named tuple, so construction runs at tuple speed.
-    """
-    edges: list[SummaryEdge] = []
-    append = edges.append
-    edge = SummaryEdge
-    name_i = profile_i.name
-    name_j = profile_j.name
-    by_relation_j = profile_j.by_relation
-    for source_stmt, source_pos, relation, ti, wi, ri, pi, fki in profile_i.occurrences:
-        targets = by_relation_j.get(relation)
-        if targets is None:
-            continue
-        nc_row = NC_DEP_ROWS[ti]
-        c_row = C_DEP_ROWS[ti]
-        for target_stmt, target_pos, _, tj, wj, rj, pj, fkj in targets:
-            nc = nc_row[tj]
-            if nc is True or (
-                nc is None
-                and (wi & wj or wi & rj or wi & pj or ri & wj or pi & wj)
-            ):
-                append(edge(name_i, source_stmt, source_pos, False,
-                            target_stmt, target_pos, name_j))
-            c = c_row[tj]
-            if c is True or (
-                c is None
-                and (
-                    pi & wj
-                    or (ri & wj and not (use_foreign_keys and fki & fkj))
-                )
-            ):
-                append(edge(name_i, source_stmt, source_pos, True,
-                            target_stmt, target_pos, name_j))
-    return edges
+    return ProgramProfile(program.name, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +174,10 @@ def _pair_edges_reference(
 ) -> tuple[SummaryEdge, ...]:
     """The pre-kernel edge block of one ordered pair, over statement objects.
 
-    Kept verbatim as the executable specification of :func:`_pair_block`:
+    Kept verbatim as the executable specification of the plane sweep:
     the occurrence loops and the non-counterflow/counterflow interleaving
-    reproduce the monolithic Algorithm 1 loop exactly, and the compiled
-    kernel is property-tested edge-for-edge against this path.
+    reproduce the monolithic Algorithm 1 loop exactly, and the sweep is
+    property-tested edge-for-edge against this path.
     """
     edges: list[SummaryEdge] = []
     for occ_i in program_i:
@@ -293,7 +224,7 @@ def pair_edges_reference(
 ) -> tuple[SummaryEdge, ...]:
     """:func:`pair_edges` via the original frozenset statement conditions.
 
-    Slower than the compiled kernel (it rebuilds ``protecting_fks`` per
+    Slower than the plane sweep (it rebuilds ``protecting_fks`` per
     occurrence pair and intersects frozensets); kept as the parity baseline
     for tests and :mod:`benchmarks.bench_kernel`.
     """
@@ -317,16 +248,15 @@ def pair_edges(
 
     Looks only at the two programs involved (self-pairs included):
     ``SuG(𝒫)`` is exactly the concatenation of ``pair_edges(P_i, P_j)``
-    over all ordered pairs of ``𝒫``.  Runs on the compiled kernel; inside
-    an :class:`EdgeBlockStore` the profile compilation happens once per
-    program instead of once per call.
+    over all ordered pairs of ``𝒫``.  Runs the plane sweep through a
+    throwaway two-program :class:`EdgeBlockStore`; a long-lived store
+    compiles each program once instead of once per call.  As in any
+    store, two different programs may not share a name
+    (:class:`~repro.errors.ProgramError`).
     """
-    profile_i = compile_profile(program_i, schema, settings)
-    if program_j is program_i:
-        profile_j = profile_i
-    else:
-        profile_j = compile_profile(program_j, schema, settings)
-    return tuple(_pair_block(profile_i, profile_j, settings.use_foreign_keys))
+    store = EdgeBlockStore(schema, settings)
+    store.register((program_i, program_j))
+    return store.block(program_i.name, program_j.name)
 
 
 class EdgeBlockStore:
@@ -355,13 +285,10 @@ class EdgeBlockStore:
         self,
         schema: Schema,
         settings: AnalysisSettings = AnalysisSettings(),
-        plane_kernel: str | None = None,
         block_store: BlockStore | None = None,
     ):
         self.schema = schema
         self.settings = settings
-        #: Sweep kernel override ("numpy"/"stdlib"; None → auto).
-        self.plane_kernel = plane_kernel
         self._arena: planes.PlaneArena | None = None
         self._ltps: dict[str, LTP] = {}
         self._profiles: dict[str, ProgramProfile] = {}
@@ -512,8 +439,8 @@ class EdgeBlockStore:
 
         Coordinates are ``(source occurrence, target occurrence)`` indexes
         in program order, so emitting the non-counterflow edge before the
-        counterflow edge per coordinate reproduces the scalar kernel's
-        edge sequence exactly.
+        counterflow edge per coordinate reproduces the reference's edge
+        sequence exactly.
         """
         coords = self._packed.pop(pair)
         source, target = pair
@@ -837,9 +764,7 @@ class EdgeBlockStore:
             for plan in plans:
                 check_deadline("block construction")
                 grouped_list.append(
-                    planes.sweep_blocks(
-                        arena, plan.sources, plan.targets, use_fk, self.plane_kernel
-                    )
+                    planes.sweep_blocks(arena, plan.sources, plan.targets, use_fk)
                 )
         obs_log.debug("sweep.batch", pairs=len(missing), sweeps=len(plans))
         for plan, grouped in zip(plans, grouped_list):

@@ -1,8 +1,10 @@
 """Plane-packed batch evaluation of Algorithm 1's interference conditions.
 
-The per-pair kernel of :mod:`repro.summary.pairwise` decides
-``ncDepConds``/``cDepConds`` one occurrence pair at a time.  This module
-evaluates them for *entire occurrence-pair batches*:
+This module is the one production implementation of Algorithm 1's
+per-occurrence-pair decision (Table 1 plus ``ncDepConds``/``cDepConds``);
+:func:`repro.summary.pairwise.pair_edges_reference` is the frozenset
+specification it is tested against.  It evaluates the conditions for
+*entire occurrence-pair batches*:
 
 * a :class:`PlaneArena` packs every compiled occurrence row of every
   registered program into contiguous integer **planes** — one
@@ -14,30 +16,17 @@ evaluates them for *entire occurrence-pair batches*:
   registrations reuse, so an incremental ``replace_program`` repacks only
   the edited program's rows;
 * :func:`sweep_blocks` then evaluates the conditions for the full cross
-  product of a source row set × target row set in one **sweep**, as
-  elementwise AND/compare passes over the planes, and returns per-block
-  *packed coordinates* ``(source_row, target_row, has_nc, has_cf)`` —
-  edge-block bitsets instead of per-pair Python tuples.
-
-Two sweep kernels produce bit-identical results:
-
-* **numpy** (used when importable): planes are viewed zero-copy via
-  ``np.frombuffer``, the five mask tests of ``ncDepConds`` fold into two
-  broadcast AND sweeps over precombined planes (``wi ∧ (wj|rj|pj)`` and
-  ``(ri|pi) ∧ wj``), Table 1 dispatch is an ``int8`` gather over
+  product of a source row set × target row set in one numpy **sweep**:
+  planes are viewed zero-copy via ``np.frombuffer``, the mask tests are
+  broadcast AND passes, Table 1 dispatch is an ``int8`` gather over
   :data:`~repro.summary.tables.NC_CODE_ROWS` /
   :data:`~repro.summary.tables.C_CODE_ROWS`, and edges fall out of one
-  ``nonzero`` per row chunk;
-* **stdlib** (the baseline — no third-party imports): each sweep packs the
-  target rows into one big Python integer per plane (``k`` bits per
-  target slot) and decides a whole source row against *all* targets with
-  ~10 big-int operations, using the carry trick ``((x + F) & HIGH)`` to
-  collapse each ``k``-bit slot to its "mask test is non-zero" indicator
-  bit.  The arena's word sizing always leaves the top bit of each slot
-  free, so the additions never carry across slots.
+  ``nonzero`` per row chunk as per-block *packed coordinates*
+  ``(source_row, target_row, has_nc, has_cf)`` — edge-block bitsets
+  instead of per-pair Python tuples.
 
-Condition algebra (shared by both kernels and property-tested against the
-frozenset originals): with ``any_j = wj|rj|pj`` and ``rp_i = ri|pi``,
+Condition algebra (property-tested against the frozenset originals): with
+``any_j = wj|rj|pj`` and ``rp_i = ri|pi``,
 
 * ``ncDepConds``'s five tests collapse to ``(wi ∧ any_j) ∨ (rp_i ∧ wj)``;
 * ``cDepConds`` is ``(pi ∧ wj) ∨ (ri ∧ wj ∧ ¬blocked)`` which, writing
@@ -47,60 +36,27 @@ frozenset originals): with ``any_j = wj|rj|pj`` and ``rp_i = ri|pi``,
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from array import array
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
+
+import numpy as _np
 
 from repro.errors import ProgramError
 from repro.summary.tables import C_CODE_ROWS, ENTRY_COND, ENTRY_TRUE, NC_CODE_ROWS
 
-try:  # pragma: no cover - exercised via both kernel paths in tests
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less hosts use the stdlib path
-    _np = None
-
-#: Sweep kernels: ``"auto"`` resolves to numpy when importable, else stdlib.
-KERNELS = ("auto", "numpy", "stdlib")
-
-#: Process-wide default, overridable per call; ``REPRO_PLANES_KERNEL`` lets
-#: CI pin the stdlib path on hosts that do have numpy.
-DEFAULT_KERNEL = os.environ.get("REPRO_PLANES_KERNEL", "auto")
-
-#: Rows per numpy sweep chunk are sized so one boolean/uint64 intermediate
+#: Rows per sweep chunk are sized so one boolean/uint64 intermediate
 #: stays ~16 MB whatever the target count.
 _CHUNK_CELLS = 2_000_000
 
-_NC_CODE_NP = None
-_C_CODE_NP = None
-
-
-def numpy_available() -> bool:
-    """Whether the numpy fast path can be used in this process."""
-    return _np is not None
-
-
-def resolve_kernel(kernel: str | None) -> str:
-    """``"numpy"`` or ``"stdlib"`` from a requested kernel name."""
-    kernel = DEFAULT_KERNEL if kernel is None else kernel
-    if kernel not in KERNELS:
-        raise ProgramError(
-            f"unknown plane kernel {kernel!r}; expected one of {KERNELS}"
-        )
-    if kernel == "auto":
-        return "numpy" if numpy_available() else "stdlib"
-    if kernel == "numpy" and not numpy_available():
-        raise ProgramError("plane kernel 'numpy' requested but numpy is not importable")
-    return kernel
+#: Table 1 codes flattened for the sweep's ``type_i * 7 + type_j`` gather.
+_NC_CODE_FLAT = _np.array(NC_CODE_ROWS, dtype=_np.int8).reshape(-1)
+_C_CODE_FLAT = _np.array(C_CODE_ROWS, dtype=_np.int8).reshape(-1)
 
 
 def words_for_bits(bits: int) -> int:
-    """64-bit words per mask slot, always leaving the top slot bit free.
-
-    The stdlib kernel's carry trick adds ``2**(k-1) - 1`` to every slot and
-    needs the result to stay inside the slot; a free top bit guarantees it.
-    """
+    """64-bit words per mask slot: enough for ``bits`` bits, at least one."""
     return bits // 64 + 1
 
 
@@ -111,9 +67,9 @@ class PlaneArena:
     every registered program's occurrence rows live at a contiguous
     ``(start, count)`` row range, all planes share the same ``words``-wide
     mask slots (attribute and FK masks alike — the wider of the two
-    requirements, so the sweep kernels need a single slot geometry).
+    requirements, so the sweep needs a single slot geometry).
 
-    The arena is the **source of truth** the sweep kernels read; numpy
+    The arena is the **source of truth** the sweep reads; numpy
     views are taken zero-copy via ``np.frombuffer`` and never cached across
     mutations (``array`` refuses to grow while a view exports its buffer).
     """
@@ -246,7 +202,7 @@ class PlaneArena:
 
 
 class PlaneView(NamedTuple):
-    """One sweep kernel's read-only view of packed planes.
+    """The sweep's read-only view of packed planes.
 
     ``writes``/``preads``/``anyrw``/``rp``/``fks`` are flat little-endian
     64-bit word buffers with ``words`` words per row; ``rels``/``types``
@@ -270,16 +226,8 @@ def arena_view(arena: PlaneArena) -> PlaneView:
 
 
 # ---------------------------------------------------------------------------
-# numpy sweep kernel
+# the sweep
 # ---------------------------------------------------------------------------
-
-def _np_tables():
-    global _NC_CODE_NP, _C_CODE_NP
-    if _NC_CODE_NP is None:
-        _NC_CODE_NP = _np.array(NC_CODE_ROWS, dtype=_np.int8)
-        _C_CODE_NP = _np.array(C_CODE_ROWS, dtype=_np.int8)
-    return _NC_CODE_NP, _C_CODE_NP
-
 
 def _np_rows(buffer: memoryview, dtype, words: int):
     plane = _np.frombuffer(buffer, dtype=dtype)
@@ -339,8 +287,7 @@ def np_sweep(view: PlaneView, rows, cols, use_foreign_keys: bool):
     temporaries otherwise land in mmap'd allocations whose page faults
     dominate the sweep at typical scales.
     """
-    nc_code_t, c_code_t = _np_tables()
-    nc_flat, c_flat = nc_code_t.reshape(-1), c_code_t.reshape(-1)
+    nc_flat, c_flat = _NC_CODE_FLAT, _C_CODE_FLAT
     w_i, p_i, _, rp_i, fk_i, rel_i, type_i = _np_gather(view, rows)
     w_j, _, any_j, _, fk_j, rel_j, type_j = _np_gather(view, cols)
     type_i7 = type_i * 7
@@ -436,153 +383,6 @@ def _np_coords(view, rows, cols, use_foreign_keys):
 
 
 # ---------------------------------------------------------------------------
-# stdlib big-int (SWAR) sweep kernel
-# ---------------------------------------------------------------------------
-
-def _row_int(buffer: memoryview, row: int, words: int) -> int:
-    stride = words * 8
-    return int.from_bytes(buffer[row * stride : (row + 1) * stride], "little")
-
-
-def _swar_plane(buffer: memoryview, words: int, cols) -> int:
-    """All target rows of one plane joined into a single big integer,
-    ``words * 64`` bits per target slot."""
-    stride = words * 8
-    return int.from_bytes(
-        b"".join(
-            buffer[col * stride : (col + 1) * stride].tobytes() for col in cols
-        ),
-        "little",
-    )
-
-
-class _SwarConstants(NamedTuple):
-    k: int  # bits per target slot
-    high: int  # the top bit of every slot
-    fill: int  # 2**(k-1) - 1 replicated into every slot
-    t_writes: int
-    t_anyrw: int
-    t_fks: int
-    rel_ind: dict[int, int]  # relation id -> HIGH bits of matching slots
-    nc_true: tuple[int, ...]  # per source type id: HIGH bits of True columns
-    nc_cond: tuple[int, ...]
-    c_true: tuple[int, ...]
-    c_cond: tuple[int, ...]
-
-
-def _swar_setup(view: PlaneView, cols) -> _SwarConstants:
-    words = view.words
-    k = words * 64
-    columns = len(cols)
-    ones = ((1 << (k * columns)) - 1) // ((1 << k) - 1) if columns else 0
-    high = ones << (k - 1)
-    fill = high - ones
-    rel_ind: dict[int, int] = {}
-    type_ind = [0] * 7
-    rels = view.rels.cast("q")
-    types = view.types.cast("q")
-    bit = 1 << (k - 1)
-    for slot, col in enumerate(cols):
-        slot_bit = bit << (slot * k)
-        relation = rels[col]
-        rel_ind[relation] = rel_ind.get(relation, 0) | slot_bit
-        type_ind[types[col]] |= slot_bit
-    def table_rows(code_rows, wanted):
-        return tuple(
-            _or_all(type_ind[tj] for tj in range(7) if row[tj] == wanted)
-            for row in code_rows
-        )
-    return _SwarConstants(
-        k,
-        high,
-        fill,
-        _swar_plane(view.writes, words, cols),
-        _swar_plane(view.anyrw, words, cols),
-        _swar_plane(view.fks, words, cols),
-        rel_ind,
-        table_rows(NC_CODE_ROWS, ENTRY_TRUE),
-        table_rows(NC_CODE_ROWS, ENTRY_COND),
-        table_rows(C_CODE_ROWS, ENTRY_TRUE),
-        table_rows(C_CODE_ROWS, ENTRY_COND),
-    )
-
-
-def _or_all(values: Iterable[int]) -> int:
-    result = 0
-    for value in values:
-        result |= value
-    return result
-
-
-def swar_row(view: PlaneView, consts: _SwarConstants, row: int,
-             use_foreign_keys: bool) -> tuple[int, int]:
-    """One source row against every target slot: ``(nc, cf)`` indicator
-    integers with the top bit of each matching slot set."""
-    rels = view.rels.cast("q")
-    match = consts.rel_ind.get(rels[row], 0)
-    if not match:
-        return 0, 0
-    type_id = view.types.cast("q")[row]
-    nc_true = consts.nc_true[type_id] & match
-    nc_cond = consts.nc_cond[type_id] & match
-    c_true = consts.c_true[type_id] & match
-    c_cond = consts.c_cond[type_id] & match
-    if not (nc_cond or c_cond):
-        return nc_true, c_true
-    words = view.words
-    high, fill = consts.high, consts.fill
-    # Replicate the source mask into every slot (one multiply), AND against
-    # the joined target plane, then collapse each slot to its "non-zero"
-    # indicator bit: the fill addition carries into the free top bit of any
-    # slot whose AND result is non-zero.
-    ones = consts.high >> (consts.k - 1)
-    nc_hits = 0
-    if nc_cond:
-        w_i = _row_int(view.writes, row, words)
-        rp_i = _row_int(view.rp, row, words)
-        cond = 0
-        if w_i:
-            cond = ((w_i * ones) & consts.t_anyrw) + fill & high
-        if rp_i:
-            cond |= ((rp_i * ones) & consts.t_writes) + fill & high
-        nc_hits = nc_cond & cond
-    c_hits = 0
-    if c_cond:
-        rp_i = _row_int(view.rp, row, words)
-        rpw = ((rp_i * ones) & consts.t_writes) + fill & high if rp_i else 0
-        if use_foreign_keys:
-            fk_i = _row_int(view.fks, row, words)
-            blocked = ((fk_i * ones) & consts.t_fks) + fill & high if fk_i else 0
-            if blocked:
-                p_i = _row_int(view.preads, row, words)
-                pw = ((p_i * ones) & consts.t_writes) + fill & high if p_i else 0
-                cond = (rpw & (high ^ blocked)) | (pw & blocked)
-            else:
-                cond = rpw
-        else:
-            cond = rpw
-        c_hits = c_cond & cond
-    return nc_true | nc_hits, c_true | c_hits
-
-
-def _swar_coords(view, rows, cols, use_foreign_keys):
-    coords: list[tuple[int, int, bool, bool]] = []
-    if not cols:
-        return coords
-    consts = _swar_setup(view, cols)
-    k = consts.k
-    for s, row in enumerate(rows):
-        nc, cf = swar_row(view, consts, row, use_foreign_keys)
-        merged = nc | cf
-        while merged:
-            low = merged & -merged
-            t = (low.bit_length() - 1) // k
-            coords.append((s, t, bool(nc & low), bool(cf & low)))
-            merged ^= low
-    return coords
-
-
-# ---------------------------------------------------------------------------
 # sweeps over an arena: planning, extraction, grouping
 # ---------------------------------------------------------------------------
 
@@ -632,8 +432,8 @@ def group_coords(
 
     Every pair of the sweep gets an entry (empty blocks included — they
     are cache entries too); within a block, coordinates keep the
-    ``(source occurrence, target occurrence)`` program order the scalar
-    kernel emits edges in.
+    ``(source occurrence, target occurrence)`` program order the frozenset
+    reference emits edges in.
     """
     src_of: list[int] = []
     src_local: list[int] = []
@@ -664,21 +464,12 @@ def sweep_blocks(
     sources: Sequence[str],
     targets: Sequence[str],
     use_foreign_keys: bool,
-    kernel: str | None = None,
 ) -> dict[tuple[str, str], tuple[tuple[int, int, bool, bool], ...]]:
-    """Packed blocks for every ordered pair in ``sources × targets``.
-
-    The serial entry point: one plane sweep, then per-pair grouping.  The
-    resolved kernel ("numpy" or "stdlib") decides how the sweep runs; the
-    results are bit-identical.
-    """
+    """Packed blocks for every ordered pair in ``sources × targets``:
+    one plane sweep, then per-pair grouping."""
     rows, src_meta = _sweep_rows(arena, sources)
     cols, dst_meta = _sweep_rows(arena, targets)
-    view = arena_view(arena)
-    if resolve_kernel(kernel) == "numpy":
-        coords = _np_coords(view, rows, cols, use_foreign_keys)
-    else:
-        coords = _swar_coords(view, rows, cols, use_foreign_keys)
+    coords = _np_coords(arena_view(arena), rows, cols, use_foreign_keys)
     return group_coords(coords, src_meta, dst_meta)
 
 
@@ -691,7 +482,6 @@ def dense_rows(
     rows: Sequence[int],
     cols: Sequence[int],
     use_foreign_keys: bool,
-    kernel: str | None = None,
 ) -> tuple[bytes, bytes]:
     """The sweep as two dense bitset planes (nc, cf).
 
@@ -699,35 +489,9 @@ def dense_rows(
     (little-endian within the row) is set when the ordered occurrence pair
     ``(rows[s], cols[t])`` admits that dependency.
     """
-    stride = (len(cols) + 7) // 8
-    if resolve_kernel(kernel) == "numpy":
-        nc_parts: list[bytes] = []
-        cf_parts: list[bytes] = []
-        for _, nc, cf in np_sweep(view, rows, cols, use_foreign_keys):
-            nc_parts.append(
-                _np.packbits(nc, axis=1, bitorder="little").tobytes()
-            )
-            cf_parts.append(
-                _np.packbits(cf, axis=1, bitorder="little").tobytes()
-            )
-        return b"".join(nc_parts), b"".join(cf_parts)
-    if not cols:
-        return b"", b""
-    consts = _swar_setup(view, cols)
-    k = consts.k
-    nc_rows: list[bytes] = []
-    cf_rows: list[bytes] = []
-    for row in rows:
-        nc, cf = swar_row(view, consts, row, use_foreign_keys)
-        nc_rows.append(_indicator_bytes(nc, k, stride))
-        cf_rows.append(_indicator_bytes(cf, k, stride))
-    return b"".join(nc_rows), b"".join(cf_rows)
-
-
-def _indicator_bytes(indicator: int, k: int, stride: int) -> bytes:
-    dense = 0
-    while indicator:
-        low = indicator & -indicator
-        dense |= 1 << ((low.bit_length() - 1) // k)
-        indicator ^= low
-    return dense.to_bytes(stride, "little")
+    nc_parts: list[bytes] = []
+    cf_parts: list[bytes] = []
+    for _, nc, cf in np_sweep(view, rows, cols, use_foreign_keys):
+        nc_parts.append(_np.packbits(nc, axis=1, bitorder="little").tobytes())
+        cf_parts.append(_np.packbits(cf, axis=1, bitorder="little").tobytes())
+    return b"".join(nc_parts), b"".join(cf_parts)

@@ -99,11 +99,10 @@ C_DEP_TABLE = _table(
 NC_DEP_ROWS: tuple[tuple[TableEntry, ...], ...] = _rows(NC_DEP_TABLE)
 C_DEP_ROWS: tuple[tuple[TableEntry, ...], ...] = _rows(C_DEP_TABLE)
 
-#: Table-entry codes for the batch plane kernel
-#: (:mod:`repro.summary.planes`): ``False`` → 0, ``True`` → 1, ⊥ → 2.
-#: Integer codes index directly into numpy ``int8`` tables and into the
-#: per-sweep indicator constants of the stdlib big-int path, where the
-#: three-valued ``True``/``False``/``None`` objects cannot.
+#: Table-entry codes for the plane sweep (:mod:`repro.summary.planes`):
+#: ``False`` → 0, ``True`` → 1, ⊥ → 2.  Integer codes index directly into
+#: numpy ``int8`` tables, where the three-valued ``True``/``False``/``None``
+#: objects cannot.
 ENTRY_FALSE, ENTRY_TRUE, ENTRY_COND = 0, 1, 2
 
 

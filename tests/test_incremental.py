@@ -171,20 +171,6 @@ class TestIncremental:
         with pytest.raises(ReproError):
             session.replace_program(alien)
 
-    def test_parallel_session_matches_serial(self, auction_workload):
-        # jobs= is accepted for one release and ignored.
-        serial = Analyzer(auction_workload)
-        with pytest.warns(DeprecationWarning, match="jobs"):
-            parallel = Analyzer(auction_workload, jobs=4)
-        for settings in ALL_SETTINGS:
-            assert (
-                parallel.analyze(settings).to_dict()
-                == serial.analyze(settings).to_dict()
-            )
-        assert parallel.robust_subsets(ATTR_DEP_FK) == serial.robust_subsets(
-            ATTR_DEP_FK
-        )
-
 
 class TestPersistence:
     def test_save_load_round_trip_zero_recomputation(
@@ -357,13 +343,6 @@ class TestCacheCli:
         capsys.readouterr()
         assert main(["cache", "load", str(path), "--workload", "tpcc"]) == 2
         assert "error" in capsys.readouterr().err
-
-    def test_cache_save_with_jobs(self, tmp_path, capsys):
-        # --jobs is accepted for one release and ignored with a warning.
-        path = tmp_path / "sb.cache"
-        assert main(["cache", "save", "smallbank", str(path), "--jobs", "2"]) == 0
-        assert path.is_file()
-        assert "--jobs is ignored" in capsys.readouterr().err
 
 
 class TestOneShotPlumbing:

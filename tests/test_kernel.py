@@ -8,11 +8,9 @@ layer is tested for
 * bitmask ``ncDepConds``/``cDepConds`` agree with the frozenset originals
   on arbitrary Figure-5-valid statements (including ⊥ sets and foreign-key
   constraint instances) — Hypothesis-generated;
-* compiled ``pair_edges`` blocks equal ``pair_edges_reference`` blocks
+* plane-sweep ``pair_edges`` blocks equal ``pair_edges_reference`` blocks
   edge-for-edge on arbitrary generated LTP pairs and on every built-in
   workload under all four Section 7.2 settings;
-* a session asked for the removed ``backend="process"`` builds the serial
-  graphs;
 * the :class:`~repro.detection.subsets.PairMatrix` fast path yields verdict
   grids identical to the plain block-store enumeration;
 * the size-bucketed ``maximal_subsets`` equals the naive quadratic scan on
@@ -210,32 +208,6 @@ class TestKernelParity:
         (ltp, *_) = unfold(workload.programs, 2)
         profile = compile_profile(ltp, workload.schema, ATTR_DEP_FK)
         assert pickle.loads(pickle.dumps(profile)) == profile
-
-
-class TestProcessBackend:
-    """``backend="process"`` is accepted for one release and ignored: the
-    session warns and builds exactly the serial blocks."""
-
-    @pytest.mark.parametrize("settings", ALL_SETTINGS, ids=lambda s: s.label)
-    def test_process_graph_identical_to_serial(self, settings):
-        from repro.analysis import Analyzer
-
-        workload = smallbank()
-        ltps_ = unfold(workload.programs, 2)
-        serial = EdgeBlockStore(workload.schema, settings)
-        serial.register(ltps_)
-        with pytest.warns(DeprecationWarning, match="backend"):
-            process = Analyzer(workload, jobs=2, backend="process")
-        assert process.summary_graph(settings).edges == serial.graph().edges
-        assert process.cache_info()["block_computations"] == len(ltps_) ** 2
-
-    def test_analyzer_process_backend_report_matches(self):
-        from repro.analysis import Analyzer
-
-        serial = Analyzer("smallbank").analyze()
-        with pytest.warns(DeprecationWarning, match="backend"):
-            process = Analyzer("smallbank", jobs=2, backend="process")
-        assert process.analyze().to_dict() == serial.to_dict()
 
 
 def _plain_robust_subsets(programs, schema, settings, method):

@@ -1,10 +1,10 @@
-"""Tests for the plane-packed batch kernel (``repro.summary.planes``).
+"""Tests for the plane-packed batch sweep (``repro.summary.planes``).
 
-The load-bearing property: the batch sweep — stdlib SWAR and numpy alike —
-must reproduce ``pair_edges_reference`` edge for edge for every ordered
-program pair, across all four Section 7.2 settings.  On top of that the
-two kernels must agree *bit for bit* on the dense bitset planes that
-``benchmarks/bench_kernel.py`` measures.
+The load-bearing property: the sweep must reproduce
+``pair_edges_reference`` edge for edge for every ordered program pair,
+across all four Section 7.2 settings.  On top of that the dense bitset
+planes that ``benchmarks/bench_kernel.py`` measures must decode to the
+same coordinates ``sweep_blocks`` installs.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from hypothesis import HealthCheck, given, settings as hyp_settings, strategies 
 
 from repro.btp.unfold import unfold
 from repro.errors import ProgramError
-from repro.summary import planes
 from repro.summary.pairwise import (
     EdgeBlockStore,
     compile_profile,
@@ -25,14 +24,11 @@ from repro.summary.planes import (
     arena_view,
     dense_rows,
     plan_sweeps,
-    resolve_kernel,
     sweep_blocks,
     words_for_bits,
 )
 from repro.summary.settings import ALL_SETTINGS, ATTR_DEP_FK
 from repro.workloads import auction_n, smallbank
-
-KERNELS = ["stdlib"] + (["numpy"] if planes.numpy_available() else [])
 
 WORKLOADS = {
     "smallbank": smallbank,
@@ -70,13 +66,12 @@ def _packed_arena(ltps, schema, settings):
 class TestBatchKernelParity:
     """Batch kernel == executable-spec reference, block for block."""
 
-    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("workload_name", sorted(WORKLOADS))
     @pytest.mark.parametrize("settings", ALL_SETTINGS, ids=lambda s: s.label)
-    def test_store_blocks_match_reference(self, kernel, workload_name, settings):
+    def test_store_blocks_match_reference(self, workload_name, settings):
         workload = WORKLOADS[workload_name]()
         ltps = _ltps(workload)
-        store = EdgeBlockStore(workload.schema, settings, plane_kernel=kernel)
+        store = EdgeBlockStore(workload.schema, settings)
         store.register(ltps)
         store.ensure_blocks()
         reference = _reference_blocks(ltps, workload.schema, settings)
@@ -103,46 +98,14 @@ class TestBatchKernelParity:
             )
         )
         settings = data.draw(st.sampled_from(ALL_SETTINGS))
-        kernel = data.draw(st.sampled_from(KERNELS))
         ltps = unfold(subset, 2)
-        store = EdgeBlockStore(workload.schema, settings, plane_kernel=kernel)
+        store = EdgeBlockStore(workload.schema, settings)
         store.register(ltps)
         store.ensure_blocks()
         for pair, expected in _reference_blocks(
             ltps, workload.schema, settings
         ).items():
             assert store.block(*pair) == expected
-
-
-@pytest.mark.skipif(
-    not planes.numpy_available(), reason="numpy fast path not importable"
-)
-class TestKernelAgreement:
-    """stdlib SWAR and numpy sweeps are interchangeable, bit for bit."""
-
-    @pytest.mark.parametrize("settings", ALL_SETTINGS, ids=lambda s: s.label)
-    def test_dense_planes_bit_for_bit(self, settings):
-        workload = auction_n(5)
-        ltps = _ltps(workload)
-        arena = _packed_arena(ltps, workload.schema, settings)
-        rows = list(range(arena.capacity))
-        view = arena_view(arena)
-        use_fk = settings.use_foreign_keys
-        np_nc, np_cf = dense_rows(view, rows, rows, use_fk, kernel="numpy")
-        sw_nc, sw_cf = dense_rows(view, rows, rows, use_fk, kernel="stdlib")
-        assert np_nc == sw_nc
-        assert np_cf == sw_cf
-
-    @pytest.mark.parametrize("settings", ALL_SETTINGS, ids=lambda s: s.label)
-    def test_sweep_blocks_identical(self, settings):
-        workload = smallbank()
-        ltps = _ltps(workload)
-        arena = _packed_arena(ltps, workload.schema, settings)
-        names = [ltp.name for ltp in ltps]
-        use_fk = settings.use_foreign_keys
-        assert sweep_blocks(
-            arena, names, names, use_fk, kernel="numpy"
-        ) == sweep_blocks(arena, names, names, use_fk, kernel="stdlib")
 
 
 def _coords_from_dense(nc_plane, cf_plane, row_count, col_count):
@@ -160,26 +123,30 @@ def _coords_from_dense(nc_plane, cf_plane, row_count, col_count):
 
 
 class TestDenseRoundTrip:
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_coords_survive_dense_encoding(self, kernel):
+    def test_coords_survive_dense_encoding(self):
+        """``dense_rows`` decodes to the coordinates ``sweep_blocks``
+        groups into blocks, program pair by program pair."""
         workload = smallbank()
         ltps = _ltps(workload)
         arena = _packed_arena(ltps, workload.schema, ATTR_DEP_FK)
+        names = [ltp.name for ltp in ltps]
         rows = list(range(arena.capacity))
-        view = arena_view(arena)
-        nc_plane, cf_plane = dense_rows(view, rows, rows, True, kernel=kernel)
+        nc_plane, cf_plane = dense_rows(arena_view(arena), rows, rows, True)
         decoded = _coords_from_dense(nc_plane, cf_plane, len(rows), len(rows))
-        if kernel == "numpy":
-            direct = planes._np_coords(view, rows, rows, True)
-        else:
-            direct = planes._swar_coords(view, rows, rows, True)
-        assert decoded == sorted(direct)
+        offset = {name: arena.rows_of(name)[0] for name in names}
+        from_blocks = sorted(
+            (offset[source] + s, offset[target] + t, nc, cf)
+            for (source, target), block in sweep_blocks(
+                arena, names, names, True
+            ).items()
+            for s, t, nc, cf in block
+        )
+        assert decoded == from_blocks
 
 
 class TestPlaneArena:
     def test_words_always_leave_top_slot_bit_free(self):
-        # The SWAR carry trick adds 2**(k-1) - 1 per slot; the top bit of
-        # every slot must start free or the carry corrupts the neighbour.
+        # Slots round up past the mask's top bit, so every mask fits.
         for bits in range(0, 200):
             assert words_for_bits(bits) * 64 > bits
 
@@ -217,6 +184,18 @@ class TestPlaneArena:
         with pytest.raises(ProgramError):
             arena._put_mask(arena._writes, 0, 1 << 64)
 
+    def test_store_reports_plane_occupancy(self, smallbank_workload):
+        store = EdgeBlockStore(smallbank_workload.schema, ATTR_DEP_FK)
+        ltps = _ltps(smallbank_workload)
+        store.register(ltps)
+        assert store.plane_info()["rows"] == 0  # planes pack lazily
+        store.ensure_blocks()
+        info = store.plane_info()
+        assert info["programs"] == len(ltps)
+        assert info["rows"] == sum(len(ltp.occurrences) for ltp in ltps)
+        assert info["rows"] == info["rows_packed"]
+        assert info["words"] >= 1
+
 
 class TestSweepPlanning:
     def test_full_build_is_one_sweep(self):
@@ -238,28 +217,3 @@ class TestSweepPlanning:
             (s, t) for plan in plans for s in plan.sources for t in plan.targets
         }
         assert covered == set(missing)
-
-
-class TestKernelSelection:
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ProgramError):
-            resolve_kernel("simd")
-
-    def test_auto_prefers_numpy_when_available(self):
-        resolved = resolve_kernel("auto")
-        if planes.numpy_available():
-            assert resolved == "numpy"
-        else:
-            assert resolved == "stdlib"
-
-    def test_store_reports_plane_occupancy(self, smallbank_workload):
-        store = EdgeBlockStore(smallbank_workload.schema, ATTR_DEP_FK)
-        ltps = _ltps(smallbank_workload)
-        store.register(ltps)
-        assert store.plane_info()["rows"] == 0  # planes pack lazily
-        store.ensure_blocks()
-        info = store.plane_info()
-        assert info["programs"] == len(ltps)
-        assert info["rows"] == sum(len(ltp.occurrences) for ltp in ltps)
-        assert info["rows"] == info["rows_packed"]
-        assert info["words"] >= 1

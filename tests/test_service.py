@@ -31,6 +31,7 @@ from repro.service import (
     make_server,
     parse_request,
 )
+from repro.service import http as http_module
 from repro.service.http import MAX_BODY_BYTES
 from repro.summary.settings import ALL_SETTINGS, ATTR_DEP_FK
 from repro.workloads import auction, smallbank, tpcc
@@ -461,8 +462,11 @@ def _get(server, path: str) -> tuple[int, bytes]:
         return error.code, error.read()
 
 
-def _raw_post(server, content_length: str) -> tuple[int, dict]:
-    """POST /v1/analyze with a hand-written ``Content-Length`` and no body.
+def _raw_post(
+    server, content_length: str, body: bytes = b"", half_close: bool = False
+) -> tuple[int, dict]:
+    """POST /v1/analyze with a hand-written ``Content-Length`` and ``body``
+    (``half_close`` shuts the write side after it, ending the body early).
 
     The socket timeout turns a server that waits on the body into a test
     failure instead of a hung suite."""
@@ -471,7 +475,10 @@ def _raw_post(server, content_length: str) -> tuple[int, dict]:
         sock.sendall(
             b"POST /v1/analyze HTTP/1.1\r\nHost: 127.0.0.1\r\n"
             + f"Content-Length: {content_length}\r\n\r\n".encode()
+            + body
         )
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
         response = b""
         while chunk := sock.recv(65536):
             response += chunk
@@ -540,19 +547,53 @@ class TestHTTP:
         assert envelope["exit_code"] == 2
 
     @pytest.mark.parametrize(
-        "content_length, status, kind",
+        "content_length, body, half_close, status, kind",
         [
-            ("-1", 400, "invalid_request"),
-            ("twelve", 400, "invalid_request"),
-            (str(MAX_BODY_BYTES + 1), 413, "payload_too_large"),
+            pytest.param(
+                length, body, half_close, status, kind,
+                id=f"{length}-{status}-{kind}",
+            )
+            for length, body, half_close, status, kind in (
+                ("-1", b"", False, 400, "invalid_request"),
+                ("twelve", b"", False, 400, "invalid_request"),
+                (str(MAX_BODY_BYTES + 1), b"", False, 413, "payload_too_large"),
+                # Fewer bytes than promised: the read times out instead of
+                # pinning the handler thread ...
+                ("100", b'{"workload"', False, 408, "request_timeout"),
+                # ... or ends at the client's EOF (valid JSON so far, but
+                # still short of the promised length).
+                ("100", b'{"workload": "auction"}', True, 400, "invalid_request"),
+            )
         ],
     )
     def test_bad_content_length_is_answered_without_reading(
-        self, http_server, content_length, status, kind
+        self, http_server, monkeypatch, content_length, body, half_close,
+        status, kind,
     ):
-        got_status, payload = _raw_post(http_server, content_length)
+        monkeypatch.setattr(http_module._ServiceRequestHandler, "timeout", 0.5)
+        got_status, payload = _raw_post(
+            http_server, content_length, body, half_close
+        )
         assert got_status == status
         assert payload["error"]["type"] == kind
+
+    def test_client_hang_up_is_logged_not_raised(self, caplog):
+        class _HungUp:
+            def write(self, data):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        handler = http_module._ServiceRequestHandler.__new__(
+            http_module._ServiceRequestHandler
+        )
+        handler.command, handler.path = "POST", "/v1/analyze"
+        handler.request_version = handler.requestline = "HTTP/1.0"
+        handler.wfile = _HungUp()
+        handler._begin_request()
+        with caplog.at_level("INFO", logger="repro.obs"):
+            handler._send_body(200, b"{}\n", "application/json")
+        assert handler.close_connection is True
+        events = [json.loads(record.getMessage())["event"] for record in caplog.records]
+        assert events == ["http.request", "http.client_gone"]
 
     def test_malformed_request_gets_the_envelope(self, http_server):
         status, body = _post(
@@ -659,7 +700,7 @@ class TestServiceErrorEnvelopes:
             ("graph", [], "must be a JSON object"),
             ("grid", {"workloads": []}, "non-empty"),
             ("grid", {"workloads": ["auction"], "repetitions": 1.5}, "integer"),
-            ("grid", {"workloads": ["auction"], "cell_jobs": "x"}, "integer"),
+            ("grid", {"workloads": ["auction"], "cell_jobs": "x"}, "unknown field"),
             ("batch", {"requests": "nope"}, "non-empty list"),
         ],
     )
@@ -719,49 +760,6 @@ class TestEvictionSpill:
         again = service.session("auction")
         assert again.cache_info()["blocks_loaded"] == 0
         assert service.stats()["rehydrations"] == 0
-
-
-class TestCellJobs:
-    """``cell_jobs`` is accepted for one release and ignored: cells run
-    one after another and payloads are those of a run without it."""
-
-    def test_parallel_grid_payload_identical_to_serial(self):
-        def stripped(result):
-            return [
-                {
-                    key: value
-                    for key, value in cell.to_dict().items()
-                    if key not in ("seconds", "mean_seconds")
-                }
-                for cell in result.cells
-            ]
-
-        serial_service = AnalysisService()
-        parallel_service = AnalysisService()
-        spec = dict(
-            workloads=("smallbank", "auction", "auction(2)"),
-            task="subsets",
-            include_verdicts=True,
-        )
-        serial = serial_service.grid(GridSpec(**spec))
-        with pytest.warns(DeprecationWarning, match="cell_jobs"):
-            parallel_spec = GridSpec(**spec, cell_jobs=4)
-        parallel = parallel_service.grid(parallel_spec)
-        assert stripped(serial) == stripped(parallel)
-        assert [c.workload for c in parallel.cells] == [c.workload for c in serial.cells]
-
-    def test_cell_jobs_through_the_request_layer(self):
-        service = AnalysisService()
-        with pytest.warns(DeprecationWarning, match="cell_jobs"):
-            payload = service.handle(
-                "grid",
-                {
-                    "workloads": ["auction"],
-                    "settings": ["attr dep"],
-                    "cell_jobs": 2,
-                },
-            )
-        assert payload["cells"][0]["workload"] == "Auction"
 
 
 # ---------------------------------------------------------------------------

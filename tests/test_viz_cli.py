@@ -110,6 +110,12 @@ class TestCli:
         assert info.value.code == 0
         assert repro.__version__ in capsys.readouterr().out
 
+    def test_removed_jobs_flag_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["analyze", "smallbank", "--jobs", "2"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
     def test_analyze_json_round_trips(self, capsys):
         from repro import RobustnessReport
         assert main(["analyze", "smallbank", "--json"]) == 0
@@ -207,10 +213,3 @@ class TestAdviseCli:
         out = capsys.readouterr().out
         assert "Repairs — minimal edit sets" in out
         assert "MISMATCH" not in out
-
-    def test_experiments_cell_jobs(self, capsys):
-        # Accepted for one release, ignored, reported on one stderr line.
-        assert main(["experiments", "table2", "--cell-jobs", "4"]) == 0
-        captured = capsys.readouterr()
-        assert "ok" in captured.out
-        assert captured.err.count("\n") == 1 and "--cell-jobs" in captured.err
